@@ -25,20 +25,12 @@ grid at several horizons, under five execution variants:
   phase-1 optimum, the LCP family and the backward solver;
 * ``kernel_unfused`` — the vectorized kernels under per-job dispatch
   (``chunk_jobs=1``), isolating the kernels' contribution from chunk
-  fusion (the per-process sweep memo still deduplicates sweeps);
-* ``kernel_multi`` / ``batched`` — a *multi-instance* grid (six
-  instance seeds, same algorithms) under the vector and batched
-  kernels respectively, the whole grid in one batch: ``batched``
-  stacks co-scheduled same-shape instances into single
-  ``(B, T, m+1)`` sweep launches (``REPRO_KERNEL=batched``), so its
-  gain over ``kernel_multi`` is pure launch amortization on an
-  identical job set.
+  fusion (the per-process sweep memo still deduplicates sweeps).
 
 The legacy variants are pinned to ``REPRO_KERNEL=scalar`` so they keep
 measuring the historical per-step code paths (and stay comparable
 across runs); the ``kernel*`` variants measure the vectorized paths.
-Every variant must produce bit-identical rows (the multi-instance
-variants against each other — their job set is larger).
+Every variant must produce bit-identical rows.
 
 The report also carries a ``restricted_solver`` section timing
 ``solve_restricted`` under the scalar vs vectorized kernel on one
@@ -74,16 +66,13 @@ DEFAULT_ALGORITHMS = ("lcp", "eager-lcp", "threshold", "memoryless",
                       "followmin", "never-off")
 VARIANTS = ("rebuild", "mmap_store", "pipelined", "fused", "warm_cache",
             "kernel", "kernel_unfused")
-#: multi-instance variants, measured on the six-seed grid
-MULTI_VARIANTS = ("kernel_multi", "batched")
-MULTI_SEEDS = tuple(range(6))
 
 
 def _run_variant(spec, variant: str, workdir: pathlib.Path,
                  n_jobs: int) -> dict:
     """Time one run_grid execution under one variant; returns a row."""
     from repro import kernels
-    from repro.runner import EngineConfig, run_grid, shutdown_pool
+    from repro.runner import EngineConfig, RunStats, run_grid, shutdown_pool
     from repro.runner import instancestore
     store_dir = workdir / "store"
     cache_dir = workdir / "cache"
@@ -91,30 +80,23 @@ def _run_variant(spec, variant: str, workdir: pathlib.Path,
     # variants keep measuring what they always measured
     kwargs: dict = {"chunk_jobs": 1}
     previous = None
-    batched = max(1, len(spec) // 3)
+    batch_size = max(1, len(spec) // 3)
     if variant == "rebuild":
         previous = instancestore.set_memo_size(0)
     elif variant == "mmap_store":
         kwargs["store_dir"] = store_dir
     elif variant == "pipelined":
-        kwargs.update(store_dir=store_dir, batch_size=batched,
+        kwargs.update(store_dir=store_dir, batch_size=batch_size,
                       pipeline_depth=2)
     elif variant in ("fused", "kernel"):
-        kwargs.update(store_dir=store_dir, batch_size=batched,
+        kwargs.update(store_dir=store_dir, batch_size=batch_size,
                       pipeline_depth=2, chunk_jobs=None)
     elif variant == "kernel_unfused":
-        kwargs.update(store_dir=store_dir, batch_size=batched,
+        kwargs.update(store_dir=store_dir, batch_size=batch_size,
                       pipeline_depth=2)
-    elif variant in MULTI_VARIANTS:
-        # whole grid in one batch: the fused phase-1 chunk sees every
-        # co-scheduled instance, so the batched kernel can stack all
-        # same-shape sweeps into single launches
-        kwargs.update(store_dir=store_dir, batch_size=len(spec),
-                      pipeline_depth=2, chunk_jobs=None)
     else:
         kwargs["cache_dir"] = cache_dir
-    kernel = ("batched" if variant == "batched"
-              else "vector" if variant.startswith("kernel") else "scalar")
+    kernel = "vector" if variant.startswith("kernel") else "scalar"
     best = None
     try:
         with kernels.use(kernel):
@@ -125,7 +107,7 @@ def _run_variant(spec, variant: str, workdir: pathlib.Path,
                 # variant's memo state instead of the warm-up run's
                 # (matters for n_jobs > 1)
                 shutdown_pool()
-                stats: dict = {}
+                stats = RunStats()
                 start = time.perf_counter()
                 rows = run_grid(spec,
                                 EngineConfig(n_jobs=n_jobs, **kwargs),
@@ -134,8 +116,8 @@ def _run_variant(spec, variant: str, workdir: pathlib.Path,
                 row = {"variant": variant, "jobs": len(rows),
                        "seconds": round(elapsed, 6),
                        "jobs_per_sec": round(len(rows) / elapsed, 3),
-                       "inst_builds": stats.get("inst_builds"),
-                       "inst_loads": stats.get("inst_loads"),
+                       "inst_builds": stats.inst_builds,
+                       "inst_loads": stats.inst_loads,
                        "rows": rows}
                 if best is not None and best["rows"] != rows:
                     raise AssertionError(
@@ -157,22 +139,18 @@ def bench_engine(sizes=DEFAULT_SIZES, algorithms=DEFAULT_ALGORITHMS,
     def measure(T: int, workdir: pathlib.Path) -> list[dict]:
         spec = GridSpec(scenarios=(scenario,), algorithms=tuple(algorithms),
                         seeds=(0,), sizes=(int(T),))
-        multi = GridSpec(scenarios=(scenario,),
-                         algorithms=tuple(algorithms),
-                         seeds=MULTI_SEEDS, sizes=(int(T),))
         # warm the store and the result cache first (phase 0 / first run
         # are what 'cold' pays; the variants measure the steady state)
-        for s in (spec, multi):
-            run_grid(s, EngineConfig(n_jobs=n_jobs,
-                                     store_dir=workdir / "store",
-                                     cache_dir=workdir / "cache"))
+        run_grid(spec, EngineConfig(n_jobs=n_jobs,
+                                    store_dir=workdir / "store",
+                                    cache_dir=workdir / "cache"))
         out = []
-        references: dict = {}
-        for variant in VARIANTS + MULTI_VARIANTS:
-            vspec = multi if variant in MULTI_VARIANTS else spec
-            row = _run_variant(vspec, variant, workdir, n_jobs)
+        reference = None
+        for variant in VARIANTS:
+            row = _run_variant(spec, variant, workdir, n_jobs)
             rows = row.pop("rows")
-            reference = references.setdefault(id(vspec), rows)
+            if reference is None:
+                reference = rows
             if rows != reference:
                 raise AssertionError(
                     f"variant {variant!r} rows differ at T={T}")
@@ -201,25 +179,12 @@ def bench_engine(sizes=DEFAULT_SIZES, algorithms=DEFAULT_ALGORITHMS,
     speedup_kernel = {str(T): round(by[(T, "kernel")]["jobs_per_sec"]
                                     / by[(T, "fused")]["jobs_per_sec"], 3)
                       for T in sizes}
-    # batched vs kernel: the headline launch-amortization gain over the
-    # single-instance kernel variant (the committed baseline); batched
-    # vs kernel_multi isolates it on an identical job set
-    speedup_batched = {
-        str(T): round(by[(T, "batched")]["jobs_per_sec"]
-                      / by[(T, "kernel")]["jobs_per_sec"], 3)
-        for T in sizes}
-    speedup_batched_multi = {
-        str(T): round(by[(T, "batched")]["jobs_per_sec"]
-                      / by[(T, "kernel_multi")]["jobs_per_sec"], 3)
-        for T in sizes}
-    return {"bench": "engine_throughput", "version": 4,
+    return {"bench": "engine_throughput", "version": 5,
             "scenario": scenario, "algorithms": list(algorithms),
             "n_jobs": n_jobs, "results": results,
             "speedup_store_vs_rebuild": speedup,
             "speedup_fused_vs_store": speedup_fused,
             "speedup_kernel_vs_fused": speedup_kernel,
-            "speedup_batched_vs_kernel": speedup_batched,
-            "speedup_batched_vs_kernel_multi": speedup_batched_multi,
             "restricted_solver": bench_restricted(sizes)}
 
 
@@ -279,8 +244,6 @@ def main(argv=None) -> int:
           report["speedup_store_vs_rebuild"])
     print("speedup kernel vs fused:",
           report["speedup_kernel_vs_fused"])
-    print("speedup batched vs kernel:",
-          report["speedup_batched_vs_kernel"])
     print("restricted solver:", report["restricted_solver"])
     print(f"wrote {args.out}")
     return 0

@@ -19,7 +19,10 @@ Documents are matched by their **bench identity**, not by filename: a
 ``results`` rows are re-keyed by ``(T, variant)`` — so renaming an
 artifact between runs cannot silently drop it from the comparison, and
 row insertions don't misalign the diff.  A bench present in the
-previous run but missing from the current one fails the gate.
+previous run but missing from the current one fails the gate, and so
+does a ``(T, variant)`` row dropped from a document whose ``version``
+is unchanged; a row dropped together with a ``version`` bump is
+printed but passes (the benchmark's shape changed on purpose).
 
 pytest-benchmark autosave files (machine-suffixed directories, counter
 plus commit/timestamp filenames like
@@ -126,6 +129,16 @@ def compare_docs(previous, current, *, ratio_tol: float,
     return problems
 
 
+def dropped_rows(previous, current) -> list[str]:
+    """The ``(T, variant)`` row keys of ``previous`` absent from
+    ``current`` (empty for documents without ``results`` rows)."""
+    prev, cur = _index_rows(previous), _index_rows(current)
+    if not (isinstance(prev, dict) and isinstance(cur, dict)):
+        return []
+    return sorted(set(prev.get("results", {}))
+                  - set(cur.get("results", {})))
+
+
 def _bench_identity(path: pathlib.Path, doc) -> str:
     """The document's run-stable identity: the embedded bench name for
     ``BENCH_*`` documents, the normalized counter for pytest-benchmark
@@ -182,9 +195,18 @@ def main(argv=None) -> int:
             print(f"MISSING from current run: {name} "
                   f"(was {prev_files[name][0]})")
     for name in sorted(set(prev_files) & set(cur_files)):
-        problems = compare_docs(prev_files[name][1], cur_files[name][1],
+        prev_doc, cur_doc = prev_files[name][1], cur_files[name][1]
+        problems = compare_docs(prev_doc, cur_doc,
                                 ratio_tol=args.ratio_tol,
                                 time_tol=args.time_tol)
+        for key in dropped_rows(prev_doc, cur_doc):
+            was, now = prev_doc.get("version"), cur_doc.get("version")
+            if was == now:
+                problems.append(f"results/{key}: row dropped "
+                                f"(version unchanged)")
+            else:
+                print(f"{name}: row {key} dropped with version "
+                      f"{was} -> {now}")
         if problems:
             failed = True
             print(f"REGRESSION in {name}:")

@@ -33,8 +33,6 @@ VARIANT_LABELS = {
     "fused": "+ fused chunks, shared sweep (PR 5)",
     "kernel_unfused": "vectorized kernels, per-job dispatch (PR 6)",
     "kernel": "vectorized kernels + fused chunks (PR 6)",
-    "kernel_multi": "vector kernel, multi-seed chunks (PR 9)",
-    "batched": "batched stacked sweeps (PR 9)",
     "warm_cache": "warm per-job result cache",
 }
 
@@ -64,15 +62,6 @@ def render_table(report: dict) -> str:
                   f"{per_t} (jobs/sec, single worker, best of 3; "
                   f"scenario `{report['scenario']}`, "
                   f"{len(report['algorithms'])} algorithms)."]
-    batched = report.get("speedup_batched_vs_kernel", {})
-    if batched:
-        per_t = ", ".join(f"{s}x at T={int(T):,}"
-                          for T, s in sorted(batched.items(),
-                                             key=lambda kv: int(kv[0])))
-        lines += ["",
-                  f"Batched stacked sweeps vs the single-seed vector "
-                  f"rows: {per_t} (multi-seed rows run a 6-seed grid; "
-                  f"same per-job work)."]
     restricted = report.get("restricted_solver", {})
     if restricted:
         per_t = ", ".join(f"{v['speedup']}x at T={int(T):,}"

@@ -33,20 +33,15 @@ import itertools
 from concurrent.futures import Future
 from typing import Callable, Mapping, Sequence
 
+from ..runner import executor
 from ..runner.executor import (EngineConfig, PipelineBatch, RunStats,
-                               chunk_list, resolve_config, run_pipeline,
-                               submit_task)
-from ..runner.engine import _batches
+                               as_config, run_pipeline)
 from ..runner.jobcache import JobCache, content_key, jsonify
 
 __all__ = ["sweep"]
 
 #: bump when the sweep cache record shape changes
 _SWEEP_CACHE_VERSION = 1
-
-#: keyword arguments the pre-``EngineConfig`` ``sweep`` accepted
-_SWEEP_KWARGS = frozenset({"n_jobs", "cache_dir", "sink", "batch_size",
-                           "pipeline_depth", "chunk_points"})
 
 
 class _EvalChunk:
@@ -148,28 +143,27 @@ class _SweepBatch(PipelineBatch):
 
 
 def sweep(fn: Callable[..., Mapping], grid: Mapping[str, Sequence],
-          config: EngineConfig | None = None, *, stats=None, **legacy):
+          config: EngineConfig | None = None, *,
+          stats: RunStats | None = None):
     """Evaluate ``fn(**point)`` on every point of the parameter grid.
 
     ``grid`` maps parameter names to value lists; the returned rows merge
     the grid point with ``fn``'s measurement dict (measurements win on
     key collisions being forbidden).  Execution is configured by an
-    :class:`~repro.runner.executor.EngineConfig` (the legacy keyword
-    arguments — ``n_jobs``, ``cache_dir``, ``sink``, ``batch_size``,
-    ``pipeline_depth``, ``chunk_points`` — still work through a
-    deprecation shim; ``chunk_points`` is the config's ``chunk_jobs``).
-    ``n_jobs > 1`` evaluates points on the persistent process pool; row
-    order is always the grid-product order.  With ``cache_dir``,
-    previously evaluated points are read back from the per-point cache.
-    ``stats`` may be a :class:`~repro.runner.executor.RunStats` (typed
-    counters, accumulated in place) or a plain dict, which receives the
-    historical ``hits`` and ``misses`` keys.
+    :class:`~repro.runner.executor.EngineConfig` (``None`` runs the
+    defaults; its ``store_dir``, ``force`` and fault-tolerance fields
+    do not apply to sweeps).  ``n_jobs > 1`` evaluates points on the
+    persistent process pool; row order is always the grid-product
+    order.  With ``cache_dir``, previously evaluated points are read
+    back from the per-point cache.  ``stats`` is an optional
+    :class:`~repro.runner.executor.RunStats` whose ``hits`` and
+    ``misses`` counters accumulate in place.
 
     Like :func:`repro.runner.run_grid`, a sweep streams *and
     pipelines* — on the same shared scheduling loop
     (:func:`repro.runner.executor.run_pipeline`): points run in bounded
     batches of ``batch_size`` (``None`` = one batch) dispatched as
-    fused chunks of ``chunk_points`` (``None`` auto-sizes), up to
+    fused chunks of ``chunk_jobs`` (``None`` auto-sizes), up to
     ``pipeline_depth`` batches stay in flight on the pool, and rows
     flow into a :mod:`repro.runner.sinks` ``sink`` — always in
     grid-product order — as each batch finishes.  The default
@@ -178,8 +172,7 @@ def sweep(fn: Callable[..., Mapping], grid: Mapping[str, Sequence],
     ``sweep`` returns ``sink.result()``.
     """
     from ..runner.sinks import ListSink
-    config = resolve_config(config, legacy, what="sweep",
-                            allowed=_SWEEP_KWARGS)
+    config = as_config(config)
     if config.pipeline_depth < 1:
         raise ValueError("pipeline_depth must be >= 1")
     names = list(grid.keys())
@@ -189,7 +182,7 @@ def sweep(fn: Callable[..., Mapping], grid: Mapping[str, Sequence],
              else JobCache(config.cache_dir)
              if config.cache_dir is not None else None)
     sink = ListSink() if config.sink is None else config.sink
-    run_stats = stats if isinstance(stats, RunStats) else RunStats()
+    run_stats = RunStats() if stats is None else stats
 
     def plan(batch: list) -> _SweepBatch:
         pending: list[tuple[int, dict, str]] = []
@@ -205,10 +198,11 @@ def sweep(fn: Callable[..., Mapping], grid: Mapping[str, Sequence],
                 pending.append((i, point, key))
         run_stats.misses += len(pending)
         futures = [
-            (chunk, submit_task(_EvalChunk(fn),
-                                [p for _, p, _ in chunk], config.n_jobs))
-            for chunk in chunk_list(pending, config.n_jobs,
-                                    config.chunk_jobs)]
+            (chunk, executor.submit_task(_EvalChunk(fn),
+                                         [p for _, p, _ in chunk],
+                                         config.n_jobs))
+            for chunk in executor.chunk_list(pending, config.n_jobs,
+                                             config.chunk_jobs)]
         st = _SweepBatch(cache, sink, batch, futures)
         for i, cached in results_known:
             st.results[i] = cached
@@ -216,12 +210,9 @@ def sweep(fn: Callable[..., Mapping], grid: Mapping[str, Sequence],
 
     sink.open()
     try:
-        run_pipeline(_batches(points, config.batch_size), plan,
+        run_pipeline(executor.iter_batches(points, config.batch_size), plan,
                      pipeline_depth=config.pipeline_depth,
                      stats=run_stats)
     finally:
         sink.close()
-    if isinstance(stats, dict):
-        stats.update({"hits": run_stats.hits,
-                      "misses": run_stats.misses})
     return sink.result()

@@ -94,12 +94,11 @@ from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
 
 from .. import kernels
-from . import faults, instancestore, jobcache
+from . import executor, faults, instancestore, jobcache
 from .executor import (EngineConfig, PipelineBatch, RetryPolicy, RunStats,
-                       chunk_list, iter_batches, parallel_map,
-                       pool_generation, resolve_config, respawn_pool,
-                       retry_sleep, run_pipeline, shutdown_pool,
-                       submit_task)
+                       as_config, parallel_map, pool_generation,
+                       respawn_pool, retry_sleep, run_pipeline,
+                       shutdown_pool)
 from .instancestore import InstanceStore, get_instance
 from .jobcache import JobCache, content_key
 from .sinks import ListSink
@@ -121,13 +120,6 @@ __all__ = [
 #: (v5: memoryless f-bar evaluation shared between the per-step and the
 #: vectorized-kernel paths, which may shift cached costs by ulps)
 ENGINE_VERSION = 5
-
-# Historical names for the executor helpers.  The engine calls them
-# through its own globals, so tests monkeypatching
-# ``engine._submit_task`` / ``engine._batches`` keep intercepting.
-_submit_task = submit_task
-_chunk_list = chunk_list
-_batches = iter_batches
 
 _JOB_FIELDS = ("scenario", "algorithm", "T", "inst_seed", "seed",
                "lookahead", "params")
@@ -300,15 +292,10 @@ def _solve_instance(task: tuple) -> dict:
         if kernels.is_vectorized():
             # The restricted forward DP is the work-function recurrence
             # on the masked cost table, so the sweep's final-row
-            # minimum is solve_restricted's cost bit-identically — and
-            # a batched-prefetch pass may already have memoized it
-            # (peek first to skip rebuilding the cost table).
-            sweep = kernels.peek_sweep(coords)
-            if sweep is None:
-                from ..offline.restricted import restricted_cost_matrix
-                sweep = kernels.cached_sweep(
-                    coords, restricted_cost_matrix(inst), inst.beta)
-            opt = sweep.opt
+            # minimum is solve_restricted's cost bit-identically.
+            from ..offline.restricted import restricted_cost_matrix
+            opt = kernels.cached_sweep(
+                coords, restricted_cost_matrix(inst), inst.beta).opt
             if opt == float("inf"):
                 raise ValueError(
                     "restricted instance has no feasible schedule")
@@ -427,50 +414,6 @@ def _run_job(task: tuple) -> dict:
 # ----------------------------------------------------------------------
 
 
-def _prefetch_sweeps(entries) -> None:
-    """Seed the sweep memo for a chunk's instances in one batched pass.
-
-    ``entries`` is an iterable of ``(coords, store_root)`` pairs.  Under
-    ``REPRO_KERNEL=batched``, the general and restricted instances among
-    them are stacked by table shape and swept through
-    :func:`repro.kernels.cached_sweep_many` — one kernel launch per
-    same-shape group — so the per-item paths that follow (phase-1
-    optimum, shared replay, backward solver) hit the memo.  A no-op
-    under every other kernel.  Purely an accelerator: an instance that
-    fails to resolve here is skipped, and the per-item path surfaces
-    the error with its full retry/quarantine accounting.
-    """
-    if kernels.active() != "batched":
-        return
-    items = []
-    for coords, store_root in dict.fromkeys(entries):
-        if kernels.peek_sweep(coords, touch=False) is not None:
-            continue
-        try:
-            inst = get_instance(coords, store_root)
-            if coords[1] == "general":
-                items.append((coords, inst.F, inst.beta))
-            elif coords[1] == "restricted":
-                from ..offline.restricted import restricted_cost_matrix
-                items.append((coords, restricted_cost_matrix(inst),
-                              inst.beta))
-        except Exception:
-            continue
-    if items:
-        kernels.cached_sweep_many(items)
-
-
-def _solve_chunk(task: tuple) -> list[dict]:
-    """Fused phase-1 job: solve several instances' optima in one
-    round-trip (each through :func:`_solve_instance`, so per-item
-    behavior — and test monkeypatching — is unchanged).  Under the
-    batched kernel the chunk's sweeps run as one stacked launch first
-    (:func:`_prefetch_sweeps`); the per-item solves then hit the memo."""
-    coords_list, store_root = task
-    _prefetch_sweeps((coords, store_root) for coords in coords_list)
-    return [_solve_instance((coords, store_root)) for coords in coords_list]
-
-
 def _sharing_coords(job: tuple):
     """The instance coordinates a job can share a work-function sweep
     on, or ``None`` when its algorithm keeps per-job state.
@@ -524,32 +467,6 @@ def _run_shared(tasks: list[tuple]) -> list[dict]:
         out = (solver(inst, bounds=bounds) if bounds is not None
                else solver(inst))
         rows[i] = _online_row(job, get_spec(job[1]), rec, out.cost)
-    return rows
-
-
-def _run_chunk(tasks: list[tuple]) -> list[dict]:
-    """Fused phase-2 job: run a contiguous slice of a batch's pending
-    jobs in one worker round-trip.  Within the chunk, jobs of one
-    instance whose algorithms consume work-function bounds are grouped
-    (in job order) and replayed through :func:`_run_shared`; everything
-    else goes through :func:`_run_job` unchanged."""
-    rows: list = [None] * len(tasks)
-    groups: dict[tuple, list[int]] = {}
-    for idx, (job, _rec, _root) in enumerate(tasks):
-        coords = _sharing_coords(job)
-        if coords is not None:
-            groups.setdefault(coords, []).append(idx)
-    _prefetch_sweeps((coords, tasks[idxs[0]][2])
-                     for coords, idxs in groups.items())
-    for idxs in groups.values():
-        if len(idxs) < 2:
-            continue  # nothing to share; take the ordinary path
-        for idx, row in zip(idxs,
-                            _run_shared([tasks[i] for i in idxs])):
-            rows[idx] = row
-    for idx, task in enumerate(tasks):
-        if rows[idx] is None:
-            rows[idx] = _run_job(task)
     return rows
 
 
@@ -638,7 +555,6 @@ def _solve_chunk_retry(task: tuple) -> dict:
     ``{"records": [...], "retries": n}`` so the parent can account
     retries without timestamps ever entering a record."""
     coords_list, store_root, policy = task
-    _prefetch_sweeps((coords, store_root) for coords in coords_list)
     records, retries = [], 0
     for coords in coords_list:
         rec, r = _solve_with_retry(coords, store_root, policy)
@@ -651,7 +567,7 @@ def _attempt_items(tasks, idxs, rows, done, errors) -> None:
     """Execute the chunk items ``idxs`` once, capturing per-item
     failures.  Sweep-sharing groups still replay together; a failure
     inside a shared replay degrades that group to per-item execution,
-    so one poison job cannot fail its co-batched siblings."""
+    so one poison job cannot fail its co-scheduled siblings."""
     groups: dict[tuple, list[int]] = {}
     solo: list[int] = []
     for i in idxs:
@@ -696,8 +612,11 @@ def _attempt_items(tasks, idxs, rows, done, errors) -> None:
 
 def _run_chunk_retry(task: tuple) -> dict:
     """Fused, fault-tolerant phase-2 chunk.  ``task`` is
-    ``(tasks, policy)`` with the same per-item tasks
-    :func:`_run_chunk` takes; returns ``{"rows": [...], "retries": n}``.
+    ``(tasks, policy)`` with the per-item tasks :func:`_run_job`
+    takes; returns ``{"rows": [...], "retries": n}``.  Within the
+    chunk, jobs of one instance whose algorithms consume work-function
+    bounds are grouped (in job order) and replayed through
+    :func:`_run_shared`; everything else goes through :func:`_run_job`.
 
     A failing item is retried (exponential backoff, in this worker so
     per-process fault counters stay deterministic) up to
@@ -723,9 +642,6 @@ def _run_chunk_retry(task: tuple) -> dict:
             done[i] = True
         else:
             pending.append(i)
-    _prefetch_sweeps(
-        (coords, tasks[i][2]) for i in pending
-        if (coords := _sharing_coords(tasks[i][0])) is not None)
     attempt = 0
     while pending:
         attempt += 1
@@ -969,12 +885,12 @@ class _GridRun:
         ``BrokenProcessPool`` can be attributed to the right pool
         incarnation (and the chunk resubmitted on a fresh one)."""
         try:
-            future = _submit_task(fn, payload, self.n_jobs)
+            future = executor.submit_task(fn, payload, self.n_jobs)
         except BrokenProcessPool:
             # the pool died between harvests: retire it and retry the
             # submission once on the respawned pool
             self._pool_failure(pool_generation())
-            future = _submit_task(fn, payload, self.n_jobs)
+            future = executor.submit_task(fn, payload, self.n_jobs)
         if self.n_jobs > 1:
             self.future_gen[future] = pool_generation()
         return future
@@ -1082,8 +998,8 @@ class _GridRun:
                     st.mat_borrowed.append(shared)
                 elif not store.has(coords):
                     missing.append(coords)
-            for chunk in _chunk_list(missing, self.n_jobs,
-                                     self.chunk_jobs):
+            for chunk in executor.chunk_list(missing, self.n_jobs,
+                                              self.chunk_jobs):
                 future = self._submit(instancestore._materialize_chunk,
                                       (chunk, self.store_root))
                 st.mat_futures.append((chunk, future))
@@ -1093,8 +1009,8 @@ class _GridRun:
 
     def submit_solves(self, st: _BatchState) -> None:
         """Submit the batch's phase-1 optimum solves as fused chunks."""
-        for chunk in _chunk_list(st.to_solve, self.n_jobs,
-                                 self.chunk_jobs):
+        for chunk in executor.chunk_list(st.to_solve, self.n_jobs,
+                                          self.chunk_jobs):
             future = self._submit(_solve_chunk_retry,
                                   (chunk, self.store_root, self.policy))
             st.solve_chunks.append([chunk, future])
@@ -1104,8 +1020,8 @@ class _GridRun:
 
     def submit_runs(self, st: _BatchState) -> None:
         """Submit the batch's phase-2 algorithm jobs as fused chunks."""
-        for chunk in _chunk_list(st.pending, self.n_jobs,
-                                 self.chunk_jobs):
+        for chunk in executor.chunk_list(st.pending, self.n_jobs,
+                                          self.chunk_jobs):
             tasks = [(job, st.records[_instance_coords(job)],
                       self.store_root)
                      for _i, job, _key in chunk]
@@ -1261,38 +1177,21 @@ class _GridRun:
         st.run_futures = remaining
 
 
-#: the stats-dict keys ``run_grid`` historically reported
-_GRID_STAT_KEYS = (
-    "job_hits", "job_misses", "opt_hits", "opt_solved",
-    "inst_materialized", "batches", "max_pending", "rows_written",
-    "overlapped_batches", "inflight_max", "inst_builds", "inst_loads",
-    "inst_memo_hits", "sweep_memo_hits", "sweep_memo_misses",
-    "retries", "quarantined", "pool_restarts", "cache_put_failures",
-    "sqlite_busy_retries")
-
-#: keyword arguments the pre-``EngineConfig`` ``run_grid`` accepted
-_RUN_GRID_KWARGS = frozenset(
-    {"n_jobs", "cache_dir", "store_dir", "force", "sink", "batch_size",
-     "pipeline_depth", "chunk_jobs"})
-
-
 def run_grid(spec: GridSpec, config: EngineConfig | None = None, *,
-             stats=None, job_slice: tuple[int, int] | None = None,
-             **legacy):
+             stats: RunStats | None = None,
+             job_slice: tuple[int, int] | None = None):
     """Stream every job of a grid through the pipelined three-phase
     engine.
 
-    Execution is configured by an :class:`EngineConfig` (the legacy
-    keyword arguments — ``n_jobs``, ``cache_dir``, ``store_dir``,
-    ``force``, ``sink``, ``batch_size``, ``pipeline_depth``,
-    ``chunk_jobs`` — still work through a deprecation shim that folds
-    them into the config).  Jobs are generated lazily and executed in
-    bounded batches of ``batch_size`` (``None`` = one batch); each
-    batch's finished rows are flushed — in job order — to the result
-    ``sink`` (:mod:`repro.runner.sinks`).  With the default
-    ``sink=None`` an in-memory :class:`~repro.runner.sinks.ListSink`
-    collects the rows and ``run_grid`` returns the historical
-    ``list[dict]``; with a file-backed sink the parent holds at most
+    Execution is configured by an :class:`EngineConfig` (``None`` runs
+    the defaults; anything else raises :class:`TypeError`).  Jobs are
+    generated lazily and executed in bounded batches of ``batch_size``
+    (``None`` = one batch); each batch's finished rows are flushed — in
+    job order — to the result ``sink`` (:mod:`repro.runner.sinks`).
+    With the default ``sink=None`` an in-memory
+    :class:`~repro.runner.sinks.ListSink` collects the rows and
+    ``run_grid`` returns the historical ``list[dict]``; with a
+    file-backed sink the parent holds at most
     O(``pipeline_depth`` x ``batch_size``) pending rows (the
     ``max_pending`` stat reports the observed peak) and ``run_grid``
     returns ``sink.result()``.
@@ -1328,10 +1227,10 @@ def run_grid(spec: GridSpec, config: EngineConfig | None = None, *,
     still seeded from its coordinates alone, so the concatenation of
     disjoint slices is bit-identical to the unsliced run.
 
-    ``stats`` may be a :class:`RunStats` (typed counters, accumulated
-    in place — pass the same object across calls to total a worker's
-    leases) or a plain dict, which receives the historical key set:
-    ``job_hits``, ``job_misses``, ``opt_hits``, ``opt_solved``,
+    ``stats`` is an optional :class:`RunStats`, accumulated in place —
+    pass the same object across calls to total a worker's leases.  Its
+    counters include ``job_hits``, ``job_misses``, ``opt_hits``,
+    ``opt_solved``,
     ``batches``, ``max_pending`` (peak result rows held in the parent
     at once — bounded by ``pipeline_depth x batch_size``),
     ``rows_written``, ``overlapped_batches`` (batches admitted while an
@@ -1344,8 +1243,7 @@ def run_grid(spec: GridSpec, config: EngineConfig | None = None, *,
     end-to-end), ``inst_loads`` (store mmap loads) and
     ``inst_memo_hits``.
     """
-    config = resolve_config(config, legacy, what="run_grid",
-                            allowed=_RUN_GRID_KWARGS)
+    config = as_config(config)
     cache = (config.cache_dir if isinstance(config.cache_dir, JobCache)
              else JobCache(config.cache_dir)
              if config.cache_dir is not None else None)
@@ -1361,8 +1259,8 @@ def run_grid(spec: GridSpec, config: EngineConfig | None = None, *,
             raise ValueError(f"job_slice {job_slice!r} out of range "
                              f"for a {len(spec)}-job grid")
         jobs = itertools.islice(jobs, start, stop)
-    batches_iter = _batches(jobs, config.batch_size)
-    run_stats = stats if isinstance(stats, RunStats) else RunStats()
+    batches_iter = executor.iter_batches(jobs, config.batch_size)
+    run_stats = RunStats() if stats is None else stats
     inst_stats_before = instancestore.build_stats()
     sweep_stats_before = kernels.sweep_stats()
     busy_stats_before = jobcache.busy_stats()
@@ -1407,8 +1305,6 @@ def run_grid(spec: GridSpec, config: EngineConfig | None = None, *,
     for key in busy_stats:
         setattr(run_stats, key, getattr(run_stats, key)
                 + busy_stats[key] - busy_stats_before[key])
-    if isinstance(stats, dict):
-        stats.update({k: getattr(run_stats, k) for k in _GRID_STAT_KEYS})
     return sink.result()
 
 

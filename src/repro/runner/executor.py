@@ -42,7 +42,6 @@ import dataclasses
 import itertools
 import multiprocessing
 import time
-import warnings
 from concurrent.futures import (FIRST_COMPLETED, Future,
                                 ProcessPoolExecutor, wait)
 
@@ -54,11 +53,11 @@ __all__ = [
     "PipelineBatch",
     "RetryPolicy",
     "RunStats",
+    "as_config",
     "chunk_list",
     "iter_batches",
     "parallel_map",
     "pool_generation",
-    "resolve_config",
     "respawn_pool",
     "run_pipeline",
     "shutdown_pool",
@@ -82,15 +81,13 @@ class EngineConfig:
     keyword surface; :func:`~repro.runner.engine.run_grid`,
     :func:`~repro.analysis.sweep.sweep` and the lease-queue worker loop
     (:func:`~repro.runner.leasequeue.work`) all accept a ``config=``
-    instance.  Legacy keyword arguments keep working through a
-    deprecation shim (:func:`resolve_config`) that folds them into the
-    config.  Frozen: derive variants with :func:`dataclasses.replace`.
+    instance.  Frozen: derive variants with :func:`dataclasses.replace`.
 
     ``cache_dir`` may be a directory path or a ready-made
     :class:`~repro.runner.jobcache.JobCache`; ``sink`` a
     :class:`~repro.runner.sinks.ResultSink` (``None`` collects rows in
     memory); ``batch_size=None`` runs one batch; ``chunk_jobs=None``
-    auto-sizes fused dispatch (``sweep`` spells it ``chunk_points``).
+    auto-sizes fused dispatch.
 
     The fault-tolerance knobs: a failing job is retried up to
     ``max_retries`` times (deterministic exponential backoff starting
@@ -115,52 +112,25 @@ class EngineConfig:
     fault_plan: object = None
 
 
-#: legacy keyword spellings that map onto a differently named field
-_LEGACY_ALIASES = {"chunk_points": "chunk_jobs"}
-
-
-def resolve_config(config, legacy, *, what, allowed=None):
-    """Fold legacy keyword arguments into an :class:`EngineConfig`.
-
-    ``config=None`` starts from the defaults.  Any entry in ``legacy``
-    (the caller's ``**kwargs``) emits one :class:`DeprecationWarning`
-    and overrides the corresponding config field; unknown names — or
-    names outside ``allowed``, for callers that historically exposed
-    only a subset — raise :class:`TypeError` exactly like a misspelled
-    keyword argument would.
-    """
+def as_config(config) -> EngineConfig:
+    """``config`` itself, or the defaults for ``None``; anything else
+    raises :class:`TypeError`."""
     if config is None:
-        config = EngineConfig()
-    elif not isinstance(config, EngineConfig):
+        return EngineConfig()
+    if not isinstance(config, EngineConfig):
         raise TypeError(f"config must be an EngineConfig or None, "
                         f"got {config!r}")
-    if not legacy:
-        return config
-    fields = {f.name for f in dataclasses.fields(EngineConfig)}
-    updates = {}
-    for name, value in legacy.items():
-        target = _LEGACY_ALIASES.get(name, name)
-        if target not in fields or (allowed is not None
-                                    and name not in allowed):
-            raise TypeError(
-                f"{what}() got an unexpected keyword argument {name!r}")
-        updates[target] = value
-    warnings.warn(
-        f"passing {sorted(legacy)} to {what}() as keyword arguments is "
-        f"deprecated; pass config=EngineConfig(...) instead",
-        DeprecationWarning, stacklevel=3)
-    return dataclasses.replace(config, **updates)
+    return config
 
 
 @dataclasses.dataclass
 class RunStats:
-    """Typed execution counters (the successor of the ``stats`` dict).
+    """Typed execution counters.
 
     One instance may be threaded through several runs — e.g. every
     lease a worker drains — and keeps accumulating: counts add up,
     peaks (``max_pending``, ``inflight_max``) take the maximum.
-    :meth:`as_dict` returns the plain-dict view existing tests and CI
-    assertions were written against.
+    :meth:`as_dict` returns a plain-dict view of every counter.
     """
 
     #: per-job cache hits / executed jobs (``run_grid``)
@@ -205,7 +175,7 @@ class RunStats:
     sqlite_busy_retries: int = 0
 
     def as_dict(self) -> dict:
-        """Plain-dict view of every counter (legacy ``stats`` shape)."""
+        """Plain-dict view of every counter."""
         return dataclasses.asdict(self)
 
     def __getitem__(self, name: str) -> int:

@@ -47,7 +47,7 @@ import time
 
 from . import faults
 from .engine import ENGINE_VERSION, GridSpec, run_grid
-from .executor import EngineConfig, RunStats
+from .executor import EngineConfig, RunStats, as_config
 from .jobcache import connect_wal, with_busy_retry
 from .sinks import JsonlSink, ListSink, MergeError
 
@@ -513,9 +513,9 @@ def work(root, *, worker: str | None = None,
     counters summed over every lease this worker ran.
     """
     queue = root if isinstance(root, LeaseQueue) else LeaseQueue(root)
-    config = EngineConfig() if config is None else config
+    config = as_config(config)
     worker = default_worker_id() if worker is None else worker
-    run_stats = stats if isinstance(stats, RunStats) else RunStats()
+    run_stats = RunStats() if stats is None else stats
     claimed = 0
     while max_leases is None or claimed < max_leases:
         run_stats.leases_reclaimed += queue.reclaim_expired(grid_id)

@@ -6,7 +6,8 @@ import time
 
 import pytest
 
-from repro.runner import GridSpec, JobCache, migrate_cache, run_grid
+from repro.runner import (EngineConfig, GridSpec, JobCache, RunStats,
+                          migrate_cache, run_grid)
 from repro.runner.jobcache import DB_NAME
 
 SMALL = GridSpec(scenarios=("diurnal",), algorithms=("lcp", "threshold"),
@@ -22,13 +23,15 @@ class TestSqliteBackend:
     def test_hit_miss_parity_with_json(self, tmp_path):
         json_cache = JobCache(tmp_path / "json", backend="json")
         sq_cache = JobCache(tmp_path / "sq", backend="sqlite")
-        stats = {j: {} for j in ("json1", "json2", "sq1", "sq2")}
-        rows_j1 = run_grid(SMALL, cache_dir=json_cache,
+        stats = {j: RunStats() for j in ("json1", "json2", "sq1", "sq2")}
+        rows_j1 = run_grid(SMALL, EngineConfig(cache_dir=json_cache),
                            stats=stats["json1"])
-        rows_j2 = run_grid(SMALL, cache_dir=json_cache,
+        rows_j2 = run_grid(SMALL, EngineConfig(cache_dir=json_cache),
                            stats=stats["json2"])
-        rows_s1 = run_grid(SMALL, cache_dir=sq_cache, stats=stats["sq1"])
-        rows_s2 = run_grid(SMALL, cache_dir=sq_cache, stats=stats["sq2"])
+        rows_s1 = run_grid(SMALL, EngineConfig(cache_dir=sq_cache),
+                           stats=stats["sq1"])
+        rows_s2 = run_grid(SMALL, EngineConfig(cache_dir=sq_cache),
+                           stats=stats["sq2"])
         assert rows_j1 == rows_j2 == rows_s1 == rows_s2
         assert _cache_stats(stats["json1"]) == _cache_stats(stats["sq1"])
         assert _cache_stats(stats["json2"]) == _cache_stats(stats["sq2"])
@@ -52,8 +55,8 @@ class TestSqliteBackend:
                 instancestore.clear_memo()
                 cache = JobCache(tmp_path / f"{backend}-{n_jobs}",
                                  backend=backend)
-                rows[(backend, n_jobs)] = run_grid(SMALL, n_jobs=n_jobs,
-                                                   cache_dir=cache)
+                config = EngineConfig(n_jobs=n_jobs, cache_dir=cache)
+                rows[(backend, n_jobs)] = run_grid(SMALL, config)
         shutdown_pool()
         for combo, combo_rows in rows.items():
             failed = [r for r in combo_rows
@@ -325,29 +328,32 @@ class TestMigration:
         from repro.analysis import sweep
         from tests.test_runner import _measure
         cache = JobCache(tmp_path, backend="sqlite")
-        stats1, stats2 = {}, {}
+        stats1, stats2 = RunStats(), RunStats()
         grid = {"T": [2, 3], "m": [4, 5]}
-        rows = sweep(_measure, grid, cache_dir=cache, stats=stats1)
-        again = sweep(_measure, grid, cache_dir=cache, stats=stats2)
+        rows = sweep(_measure, grid, EngineConfig(cache_dir=cache),
+                     stats=stats1)
+        again = sweep(_measure, grid, EngineConfig(cache_dir=cache),
+                      stats=stats2)
         assert rows == again
-        assert stats1 == {"hits": 0, "misses": 4}
-        assert stats2 == {"hits": 4, "misses": 0}
+        assert (stats1.hits, stats1.misses) == (0, 4)
+        assert (stats2.hits, stats2.misses) == (4, 0)
         assert (tmp_path / DB_NAME).exists()
 
     def test_engine_reads_migrated_cache(self, tmp_path):
-        rows = run_grid(SMALL, cache_dir=JobCache(tmp_path,
-                                                  backend="json"))
+        rows = run_grid(SMALL, EngineConfig(
+            cache_dir=JobCache(tmp_path, backend="json")))
         migrate_cache(JobCache(tmp_path, backend="json"),
                       JobCache(tmp_path, backend="sqlite"))
-        stats = {}
-        again = run_grid(SMALL, cache_dir=JobCache(tmp_path), stats=stats)
+        stats = RunStats()
+        again = run_grid(SMALL, EngineConfig(cache_dir=JobCache(tmp_path)),
+                         stats=stats)
         assert again == rows
         assert stats["job_hits"] == len(SMALL)
 
 
 class TestCacheCLI:
     def _populate(self, tmp_path):
-        run_grid(SMALL, cache_dir=tmp_path)
+        run_grid(SMALL, EngineConfig(cache_dir=tmp_path))
 
     def test_stats(self, tmp_path, capsys):
         from repro.cli import main
@@ -461,3 +467,34 @@ class TestComparator:
                                        "mean_ratio": {"lcp": 9.9}})
         self._write(cur, "BENCH_engine.json", extended)
         assert cr.main([str(prev), str(cur)]) == 0  # keyed by (T, variant)
+
+    def _two_rows(self, version):
+        doc = self._doc()
+        doc["version"] = version
+        doc["results"].append({"T": 1000, "variant": "batched",
+                               "jobs_per_sec": 50.0, "seconds": 2.0,
+                               "mean_ratio": {"lcp": 1.1}})
+        return doc
+
+    def test_dropped_row_fails_when_version_unchanged(self, tmp_path,
+                                                      capsys):
+        import benchmarks.compare_results as cr
+        prev, cur = tmp_path / "prev", tmp_path / "cur"
+        self._write(prev, "BENCH_engine.json", self._two_rows(4))
+        current = self._two_rows(4)
+        del current["results"][1]
+        self._write(cur, "BENCH_engine.json", current)
+        assert cr.main([str(prev), str(cur)]) == 1
+        assert "1000-batched" in capsys.readouterr().out
+
+    def test_dropped_row_reported_when_version_changed(self, tmp_path,
+                                                       capsys):
+        import benchmarks.compare_results as cr
+        prev, cur = tmp_path / "prev", tmp_path / "cur"
+        self._write(prev, "BENCH_engine.json", self._two_rows(4))
+        current = self._two_rows(5)
+        del current["results"][1]
+        self._write(cur, "BENCH_engine.json", current)
+        assert cr.main([str(prev), str(cur)]) == 0
+        out = capsys.readouterr().out
+        assert "1000-batched" in out and "dropped" in out

@@ -1,6 +1,6 @@
 """Tests for the shared pipelined executor: the run_pipeline contract
-(in-order flush, overlap counters, abort drain), EngineConfig with its
-legacy-kwargs deprecation shim, typed RunStats, and job_slice."""
+(in-order flush, overlap counters, abort drain), EngineConfig, typed
+RunStats, and job_slice."""
 
 import dataclasses
 import threading
@@ -11,7 +11,7 @@ import pytest
 from repro.analysis import sweep
 from repro.runner import EngineConfig, GridSpec, RunStats, run_grid
 from repro.runner.executor import (PipelineBatch, chunk_list, iter_batches,
-                                   resolve_config, run_pipeline)
+                                   run_pipeline)
 
 SMALL = GridSpec(scenarios=("diurnal",), algorithms=("lcp", "threshold"),
                  seeds=(0, 1), sizes=(16,))
@@ -223,65 +223,34 @@ class TestBatchingHelpers:
 
 
 # ----------------------------------------------------------------------
-# EngineConfig and the legacy-kwargs deprecation shim.
+# EngineConfig: the one call style of run_grid, sweep and work.
 # ----------------------------------------------------------------------
 
 class TestEngineConfig:
-    def test_resolve_none_gives_defaults(self):
-        config = resolve_config(None, {}, what="f")
-        assert config == EngineConfig()
-        assert config.n_jobs == 1 and config.pipeline_depth == 2
-
-    def test_resolve_passes_config_through_unchanged(self):
-        config = EngineConfig(n_jobs=3)
-        assert resolve_config(config, {}, what="f") is config
-
-    def test_legacy_kwargs_warn_and_override(self):
-        config = EngineConfig(n_jobs=3)
-        with pytest.warns(DeprecationWarning, match="batch_size"):
-            out = resolve_config(config, {"batch_size": 4}, what="f")
-        assert out.batch_size == 4
-        assert out.n_jobs == 3          # untouched fields survive
-        assert config.batch_size is None  # frozen original unchanged
-
-    def test_chunk_points_alias_maps_to_chunk_jobs(self):
-        with pytest.warns(DeprecationWarning):
-            out = resolve_config(None, {"chunk_points": 5}, what="sweep")
-        assert out.chunk_jobs == 5
-
     def test_unknown_kwarg_raises_type_error(self):
         with pytest.raises(TypeError, match="bogus"):
-            resolve_config(None, {"bogus": 1}, what="f")
+            sweep(_measure, {"x": [1]}, bogus=1)
 
     def test_disallowed_kwarg_raises_type_error(self):
-        with pytest.raises(TypeError, match="store_dir"):
-            resolve_config(None, {"store_dir": "/tmp"}, what="sweep",
-                           allowed=frozenset({"n_jobs"}))
+        # the pre-EngineConfig keyword style is gone, not deprecated
+        with pytest.raises(TypeError, match="n_jobs"):
+            run_grid(SMALL, n_jobs=2)
+        with pytest.raises(TypeError, match="chunk_points"):
+            sweep(_measure, {"x": [1]}, chunk_points=2)
 
     def test_non_config_positional_raises(self):
         with pytest.raises(TypeError, match="EngineConfig"):
-            resolve_config({"n_jobs": 2}, {}, what="f")
+            run_grid(SMALL, {"n_jobs": 2})
+        with pytest.raises(TypeError, match="EngineConfig"):
+            sweep(_measure, {"x": [1]}, {"n_jobs": 2})
 
     def test_config_is_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
             EngineConfig().n_jobs = 2
 
-    def test_run_grid_legacy_kwargs_warn_and_match_config(self):
-        ref = run_grid(SMALL, EngineConfig(batch_size=3))
-        with pytest.warns(DeprecationWarning, match="run_grid"):
-            legacy = run_grid(SMALL, batch_size=3)
-        assert legacy == ref
-
     def test_run_grid_unknown_kwarg(self):
         with pytest.raises(TypeError, match="bogus"):
             run_grid(SMALL, bogus=1)
-
-    def test_sweep_legacy_kwargs_warn_and_match_config(self):
-        grid = {"x": [1, 2, 3]}
-        ref = sweep(_measure, grid, EngineConfig(batch_size=2))
-        with pytest.warns(DeprecationWarning, match="sweep"):
-            legacy = sweep(_measure, grid, batch_size=2)
-        assert legacy == ref
 
     def test_sweep_rejects_engine_only_kwargs(self):
         with pytest.raises(TypeError, match="store_dir"):
@@ -289,7 +258,7 @@ class TestEngineConfig:
 
 
 # ----------------------------------------------------------------------
-# RunStats: typed counters, legacy dict view, accumulation.
+# RunStats: typed counters, dict-style reads, accumulation.
 # ----------------------------------------------------------------------
 
 class TestRunStats:
@@ -321,20 +290,6 @@ class TestRunStats:
         assert stats.batches == 2 * first_batches   # counts accumulate
         assert stats.rows_written == 2 * len(SMALL)
 
-    def test_run_grid_legacy_dict_keeps_historical_keys(self, tmp_path):
-        stats = {}
-        run_grid(SMALL, EngineConfig(cache_dir=tmp_path), stats=stats)
-        for key in ("job_hits", "job_misses", "opt_hits", "opt_solved",
-                    "batches", "max_pending", "rows_written",
-                    "overlapped_batches", "inflight_max"):
-            assert key in stats, key
-        assert "leases_claimed" not in stats  # new counters stay typed
-
-    def test_sweep_legacy_dict_gets_hits_misses_only(self, tmp_path):
-        stats = {}
-        sweep(_measure, {"x": [1, 2]},
-              EngineConfig(cache_dir=tmp_path), stats=stats)
-        assert stats == {"hits": 0, "misses": 2}
 
 
 # ----------------------------------------------------------------------

@@ -398,7 +398,7 @@ class TestRunGridHygiene:
         assert run_grid(GRID) == run_grid(GRID)
 
     def test_stats_counters_reported_in_dict_form(self):
-        stats: dict = {}
+        stats = RunStats()
         run_grid(GRID, EngineConfig(
             fault_plan=plan_of(
                 FaultSpec(site="run_job", match=LCP0, nth=(1,))),

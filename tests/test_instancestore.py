@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from repro.offline.restricted import restricted_cost_matrix
-from repro.runner import (GridSpec, InstanceStore, build_instance,
-                          get_instance, run_grid, shutdown_pool)
+from repro.runner import (EngineConfig, GridSpec, InstanceStore, RunStats,
+                          build_instance, get_instance, run_grid,
+                          shutdown_pool)
 from repro.runner import executor as executor_mod
 from repro.runner import instancestore
 from repro.runner.instancestore import StoredRestrictedInstance, store_key
@@ -148,20 +149,20 @@ class TestRunGridWithStore:
     def test_rows_identical_to_rebuild_path(self, tmp_path):
         plain = run_grid(GRID)
         instancestore.clear_memo()
-        stored = run_grid(GRID, store_dir=tmp_path)
+        stored = run_grid(GRID, EngineConfig(store_dir=tmp_path))
         assert stored == plain  # bit-identical, including float fields
 
     def test_each_instance_built_exactly_once_end_to_end(self, tmp_path):
-        stats = {}
-        run_grid(GRID, store_dir=tmp_path, stats=stats)
+        stats = RunStats()
+        run_grid(GRID, EngineConfig(store_dir=tmp_path), stats=stats)
         # 2 scenarios x 2 seeds = 4 distinct instances; 12 jobs
         assert stats["inst_materialized"] == 4
         assert stats["inst_builds"] == 4
         assert stats["inst_loads"] == 4   # phase 1 mmap-loads each once
         # a second run (fresh memo) never builds again
         instancestore.clear_memo()
-        stats2 = {}
-        run_grid(GRID, store_dir=tmp_path, stats=stats2)
+        stats2 = RunStats()
+        run_grid(GRID, EngineConfig(store_dir=tmp_path), stats=stats2)
         assert stats2["inst_materialized"] == 0
         assert stats2["inst_builds"] == 0
         assert stats2["inst_loads"] == 4
@@ -169,10 +170,11 @@ class TestRunGridWithStore:
     def test_store_with_cache_and_parallel(self, tmp_path):
         cache = tmp_path / "cache"
         store = tmp_path / "store"
-        rows1 = run_grid(GRID, cache_dir=cache, store_dir=store)
+        rows1 = run_grid(GRID, EngineConfig(cache_dir=cache, store_dir=store))
         instancestore.clear_memo()
-        rows4 = run_grid(GRID, n_jobs=4, store_dir=store, force=True,
-                         cache_dir=cache)
+        rows4 = run_grid(GRID,
+                         EngineConfig(n_jobs=4, store_dir=store, force=True,
+                                      cache_dir=cache))
         assert rows1 == rows4
         shutdown_pool()
 
@@ -192,7 +194,7 @@ class TestRunGridWithStore:
         for spec in (spec_r, spec_h):
             plain = run_grid(spec)
             instancestore.clear_memo()
-            assert run_grid(spec, store_dir=tmp_path) == plain
+            assert run_grid(spec, EngineConfig(store_dir=tmp_path)) == plain
 
 
 def _worker_pid(_):
@@ -214,9 +216,10 @@ class TestPersistentPool:
 
     def test_pool_reused_across_run_grid_calls(self, tmp_path):
         shutdown_pool()
-        run_grid(SMALL_POOL, n_jobs=2)
+        run_grid(SMALL_POOL, EngineConfig(n_jobs=2))
         pool1 = executor_mod._POOL
-        run_grid(SMALL_POOL, n_jobs=2, store_dir=tmp_path, force=True)
+        run_grid(SMALL_POOL,
+                 EngineConfig(n_jobs=2, store_dir=tmp_path, force=True))
         assert executor_mod._POOL is pool1
         shutdown_pool()
 

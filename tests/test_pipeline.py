@@ -5,9 +5,10 @@ satellites."""
 import pytest
 
 from repro.online import run_online, run_online_many
-from repro.runner import (GridSpec, JobCache, ListSink, aggregate_rows,
-                          run_grid, shutdown_pool)
+from repro.runner import (EngineConfig, GridSpec, JobCache, ListSink,
+                          RunStats, aggregate_rows, run_grid, shutdown_pool)
 from repro.runner import engine as engine_mod
+from repro.runner import executor as executor_mod
 from repro.runner.registry import _REGISTRY, get_spec
 from repro.runner.scenarios import build_instance
 
@@ -38,26 +39,30 @@ class TestPipelinedBitIdentity:
                              ids=["general", "restricted", "hetero",
                                   "game"])
     def test_pipelined_matches_barrier(self, spec):
-        barrier = run_grid(spec, batch_size=3, pipeline_depth=1,
-                           chunk_jobs=1)
-        assert run_grid(spec, batch_size=3, pipeline_depth=2) == barrier
-        assert run_grid(spec, batch_size=3, pipeline_depth=3,
-                        chunk_jobs=2) == barrier
+        barrier = run_grid(spec,
+                           EngineConfig(batch_size=3, pipeline_depth=1,
+                                        chunk_jobs=1))
+        assert run_grid(spec, EngineConfig(batch_size=3,
+                                           pipeline_depth=2)) == barrier
+        assert run_grid(spec,
+                        EngineConfig(batch_size=3, pipeline_depth=3,
+                                     chunk_jobs=2)) == barrier
         assert run_grid(spec) == barrier
 
     @pytest.mark.parametrize("spec", [GRID, GAME],
                              ids=["general", "game"])
     def test_parallel_pipelined_matches_serial(self, spec):
-        serial = run_grid(spec, batch_size=3, pipeline_depth=1)
-        assert run_grid(spec, n_jobs=2, batch_size=3,
-                        pipeline_depth=2) == serial
+        serial = run_grid(spec, EngineConfig(batch_size=3, pipeline_depth=1))
+        assert run_grid(spec, EngineConfig(n_jobs=2, batch_size=3,
+                                           pipeline_depth=2)) == serial
         shutdown_pool()
 
     def test_chunked_dispatch_preserves_row_order(self):
         reference = run_grid(GRID)
         jobs = GRID.jobs()
         for chunk_jobs in (1, 2, 3, 5, 100):
-            rows = run_grid(GRID, batch_size=5, chunk_jobs=chunk_jobs)
+            rows = run_grid(GRID,
+                            EngineConfig(batch_size=5, chunk_jobs=chunk_jobs))
             assert rows == reference
             assert [(r["scenario"], r["algorithm"], r["seed"])
                     for r in rows] == [(j[0], j[1], j[4]) for j in jobs]
@@ -65,17 +70,21 @@ class TestPipelinedBitIdentity:
     def test_store_and_cache_under_pipelining(self, tmp_path):
         from repro.runner.instancestore import clear_memo
         reference = run_grid(GRID)
-        stats: dict = {}
-        rows = run_grid(GRID, n_jobs=2, batch_size=3,
-                        cache_dir=tmp_path / "cache",
-                        store_dir=tmp_path / "store", stats=stats)
+        stats = RunStats()
+        rows = run_grid(GRID,
+                        EngineConfig(n_jobs=2, batch_size=3,
+                                     cache_dir=tmp_path / "cache",
+                                     store_dir=tmp_path / "store"),
+                        stats=stats)
         assert rows == reference
         assert stats["opt_solved"] == 4  # still exactly once per instance
         clear_memo()
-        stats2: dict = {}
-        rows2 = run_grid(GRID, n_jobs=2, batch_size=3,
-                         cache_dir=tmp_path / "cache",
-                         store_dir=tmp_path / "store", stats=stats2)
+        stats2 = RunStats()
+        rows2 = run_grid(GRID,
+                         EngineConfig(n_jobs=2, batch_size=3,
+                                      cache_dir=tmp_path / "cache",
+                                      store_dir=tmp_path / "store"),
+                         stats=stats2)
         assert rows2 == reference
         assert stats2["job_hits"] == len(GRID)
         assert stats2["inst_builds"] == 0
@@ -84,37 +93,37 @@ class TestPipelinedBitIdentity:
 
 class TestOverlap:
     def test_overlap_counters_prove_pipelining(self):
-        stats: dict = {}
-        run_grid(GRID, n_jobs=2, batch_size=4, stats=stats)
+        stats = RunStats()
+        run_grid(GRID, EngineConfig(n_jobs=2, batch_size=4), stats=stats)
         assert stats["overlapped_batches"] > 0
         assert stats["inflight_max"] >= 2
         shutdown_pool()
 
     def test_serial_path_never_overlaps(self):
-        stats: dict = {}
-        run_grid(GRID, batch_size=4, stats=stats)
+        stats = RunStats()
+        run_grid(GRID, EngineConfig(batch_size=4), stats=stats)
         assert stats["overlapped_batches"] == 0
         assert stats["inflight_max"] == 1
         assert stats["max_pending"] == 4  # O(batch) preserved in-process
 
     def test_depth_one_is_a_barrier(self):
-        stats: dict = {}
-        run_grid(GRID, n_jobs=2, batch_size=4, pipeline_depth=1,
+        stats = RunStats()
+        run_grid(GRID, EngineConfig(n_jobs=2, batch_size=4, pipeline_depth=1),
                  stats=stats)
         assert stats["overlapped_batches"] == 0
         assert stats["inflight_max"] == 1
         shutdown_pool()
 
     def test_pending_rows_bounded_by_depth_times_batch(self):
-        stats: dict = {}
-        run_grid(GRID, n_jobs=2, batch_size=4, pipeline_depth=2,
+        stats = RunStats()
+        run_grid(GRID, EngineConfig(n_jobs=2, batch_size=4, pipeline_depth=2),
                  stats=stats)
         assert stats["max_pending"] <= 2 * 4
         shutdown_pool()
 
     def test_invalid_pipeline_depth_rejected(self):
         with pytest.raises(ValueError, match="pipeline_depth"):
-            run_grid(GRID, pipeline_depth=0)
+            run_grid(GRID, EngineConfig(pipeline_depth=0))
 
 
 class _KillSink(ListSink):
@@ -135,13 +144,16 @@ class TestMidPipelineKill:
         cache = JobCache(tmp_path)
         killed = _KillSink(5)
         with pytest.raises(KeyboardInterrupt):
-            run_grid(GRID, cache_dir=cache, n_jobs=2, batch_size=3,
-                     pipeline_depth=2, sink=killed)
+            run_grid(GRID,
+                     EngineConfig(cache_dir=cache, n_jobs=2, batch_size=3,
+                                  pipeline_depth=2, sink=killed))
         survivors = len(killed.rows)
         assert 0 < survivors < len(GRID)
-        stats: dict = {}
-        rows = run_grid(GRID, cache_dir=cache, n_jobs=2, batch_size=3,
-                        pipeline_depth=2, stats=stats)
+        stats = RunStats()
+        rows = run_grid(GRID,
+                        EngineConfig(cache_dir=cache, n_jobs=2, batch_size=3,
+                                     pipeline_depth=2),
+                        stats=stats)
         assert len(rows) == len(GRID)
         assert stats["job_hits"] >= survivors
         assert stats["job_hits"] + stats["job_misses"] == len(GRID)
@@ -212,7 +224,8 @@ class TestSharedReplay:
                             or real(tasks))
         fused = run_grid(GRID)  # serial: whole batch is one chunk
         assert calls and all(n >= 2 for n in calls)
-        assert fused == run_grid(GRID, chunk_jobs=1)  # no-fusion path
+        # the no-fusion path
+        assert fused == run_grid(GRID, EngineConfig(chunk_jobs=1))
 
     def test_single_sharer_takes_ordinary_path(self, monkeypatch):
         shared_calls = []
@@ -246,8 +259,8 @@ class TestPromiseRace:
         spec = GridSpec(scenarios=("diurnal",),
                         algorithms=("lcp", "eager-lcp"),
                         seeds=(0,), sizes=(16,))
-        stats: dict = {}
-        rows = run_grid(spec, batch_size=1, pipeline_depth=2,
+        stats = RunStats()
+        rows = run_grid(spec, EngineConfig(batch_size=1, pipeline_depth=2),
                         stats=stats)
         monkeypatch.setattr(engine_mod._Promise, "ready", real_ready)
         assert rows == run_grid(spec)
@@ -262,15 +275,17 @@ class TestPromiseRace:
                         algorithms=("lcp", "threshold", "memoryless"),
                         seeds=(0,), sizes=(48,))
         cache = JobCache(tmp_path / "cache")
-        run_grid(spec, cache_dir=cache)   # warm optima + rows
+        run_grid(spec, EngineConfig(cache_dir=cache))   # warm optima + rows
         extended = GridSpec(scenarios=("diurnal",),
                             algorithms=("lcp", "threshold", "memoryless",
                                         "followmin", "never-off"),
                             seeds=(0,), sizes=(48,))
-        stats: dict = {}
-        rows = run_grid(extended, cache_dir=cache, n_jobs=2,
-                        batch_size=1, pipeline_depth=2,
-                        store_dir=tmp_path / "store", stats=stats)
+        stats = RunStats()
+        rows = run_grid(extended,
+                        EngineConfig(cache_dir=cache, n_jobs=2, batch_size=1,
+                                     pipeline_depth=2,
+                                     store_dir=tmp_path / "store"),
+                        stats=stats)
         assert stats["inst_materialized"] == 1  # not once per batch
         assert rows == run_grid(extended)
         shutdown_pool()
@@ -292,7 +307,7 @@ class TestPromiseRace:
             def done(self):
                 return state["release"] and super().done()
 
-        real_submit = engine_mod._submit_task
+        real_submit = executor_mod.submit_task
 
         def fake_submit(fn, arg, n_jobs):
             if fn is engine_mod._run_chunk_retry:
@@ -309,13 +324,14 @@ class TestPromiseRace:
                     return future
             return real_submit(fn, arg, n_jobs)
 
-        monkeypatch.setattr(engine_mod, "_submit_task", fake_submit)
+        monkeypatch.setattr(executor_mod, "submit_task", fake_submit)
         spec = GridSpec(scenarios=("diurnal",),
                         algorithms=("lcp", "threshold", "memoryless"),
                         seeds=(0,), sizes=(16,))
         sink = ListSink()
         with pytest.raises(RuntimeError, match="worker died"):
-            run_grid(spec, batch_size=1, pipeline_depth=3, sink=sink)
+            run_grid(spec,
+                     EngineConfig(batch_size=1, pipeline_depth=3, sink=sink))
         # lcp and threshold completed before the error: still flushed
         assert [r["algorithm"] for r in sink.rows] == ["lcp",
                                                        "threshold"]
@@ -326,7 +342,8 @@ class TestPromiseRace:
         on a clean row prefix)."""
         killed = _KillSink(1)
         with pytest.raises(KeyboardInterrupt):
-            run_grid(GRID, batch_size=1, pipeline_depth=2, sink=killed)
+            run_grid(GRID,
+                     EngineConfig(batch_size=1, pipeline_depth=2, sink=killed))
         assert len(killed.rows) == 1  # nothing written past the kill
 
     def test_cross_batch_instance_shares_one_solve(self):
@@ -335,8 +352,9 @@ class TestPromiseRace:
         spec = GridSpec(scenarios=("diurnal",),
                         algorithms=("lcp", "eager-lcp", "threshold"),
                         seeds=(0,), sizes=(64,))
-        stats: dict = {}
-        rows = run_grid(spec, n_jobs=2, batch_size=1, pipeline_depth=2,
+        stats = RunStats()
+        rows = run_grid(spec,
+                        EngineConfig(n_jobs=2, batch_size=1, pipeline_depth=2),
                         stats=stats)
         assert stats["opt_solved"] == 1
         assert rows == run_grid(spec)
@@ -352,7 +370,7 @@ class TestBatchValidation:
             yield from ()
 
         with pytest.raises(ValueError, match="batch_size"):
-            engine_mod._batches(jobs(), 0)
+            executor_mod.iter_batches(jobs(), 0)
         assert not consumed
 
     def test_bad_batch_size_raises_before_sink_opens(self):
@@ -364,7 +382,7 @@ class TestBatchValidation:
 
         sink = Sink()
         with pytest.raises(ValueError, match="batch_size"):
-            run_grid(GRID, batch_size=-2, sink=sink)
+            run_grid(GRID, EngineConfig(batch_size=-2, sink=sink))
         assert not sink.opened
 
 
@@ -418,27 +436,33 @@ class TestSweepPipelined:
         from tests.test_runner import _measure
         grid = {"T": [2, 3, 4], "m": [4, 5]}
         reference = sweep(_measure, grid)
-        assert sweep(_measure, grid, batch_size=2,
-                     pipeline_depth=1) == reference
-        assert sweep(_measure, grid, batch_size=2, pipeline_depth=3,
-                     chunk_points=2) == reference
-        assert sweep(_measure, grid, n_jobs=2, batch_size=2,
-                     pipeline_depth=2) == reference
-        stats: dict = {}
-        sweep(_measure, grid, cache_dir=tmp_path, batch_size=2,
-              pipeline_depth=2, stats=stats)
-        assert stats == {"hits": 0, "misses": 6}
-        stats2: dict = {}
-        assert sweep(_measure, grid, cache_dir=tmp_path, batch_size=2,
-                     pipeline_depth=2, stats=stats2) == reference
-        assert stats2 == {"hits": 6, "misses": 0}
+        assert sweep(_measure, grid,
+                     EngineConfig(batch_size=2, pipeline_depth=1)) == reference
+        assert sweep(_measure, grid,
+                     EngineConfig(batch_size=2, pipeline_depth=3,
+                                  chunk_jobs=2)) == reference
+        assert sweep(_measure, grid,
+                     EngineConfig(n_jobs=2, batch_size=2,
+                                  pipeline_depth=2)) == reference
+        stats = RunStats()
+        sweep(_measure, grid,
+              EngineConfig(cache_dir=tmp_path, batch_size=2, pipeline_depth=2),
+              stats=stats)
+        assert (stats.hits, stats.misses) == (0, 6)
+        stats2 = RunStats()
+        assert sweep(_measure, grid,
+                     EngineConfig(cache_dir=tmp_path, batch_size=2,
+                                  pipeline_depth=2),
+                     stats=stats2) == reference
+        assert (stats2.hits, stats2.misses) == (6, 0)
         shutdown_pool()
 
     def test_sweep_invalid_depth_rejected(self):
         from repro.analysis import sweep
         from tests.test_runner import _measure
         with pytest.raises(ValueError, match="pipeline_depth"):
-            sweep(_measure, {"T": [2], "m": [3]}, pipeline_depth=0)
+            sweep(_measure, {"T": [2], "m": [3]},
+                  EngineConfig(pipeline_depth=0))
 
     def test_killed_sweep_caches_completed_chunks(self, tmp_path):
         """A killed sweep persists every measurement it computed —
@@ -456,16 +480,19 @@ class TestSweepPipelined:
 
         grid = {"T": [2, 3, 4], "m": [4, 5]}
         with pytest.raises(KeyboardInterrupt):
-            sweep(_measure, grid, cache_dir=tmp_path, batch_size=2,
-                  pipeline_depth=2, sink=Kill())
-        stats: dict = {}
-        rows = sweep(_measure, grid, cache_dir=tmp_path, batch_size=2,
-                     pipeline_depth=2, stats=stats)
+            sweep(_measure, grid,
+                  EngineConfig(cache_dir=tmp_path, batch_size=2,
+                               pipeline_depth=2, sink=Kill()))
+        stats = RunStats()
+        rows = sweep(_measure, grid,
+                     EngineConfig(cache_dir=tmp_path, batch_size=2,
+                                  pipeline_depth=2),
+                     stats=stats)
         assert len(rows) == 6
         # both admitted batches were cached before the kill propagated
         # (the second one at harvest, even though its flush is what the
         # sink killed); only the never-admitted batch recomputes
-        assert stats == {"hits": 4, "misses": 2}
+        assert (stats.hits, stats.misses) == (4, 2)
 
     def test_killed_sweep_flushes_completed_batches_to_sink(self,
                                                             tmp_path):
@@ -483,8 +510,9 @@ class TestSweepPipelined:
 
         path = tmp_path / "rows.jsonl"
         with pytest.raises(RuntimeError, match="boom"):
-            sweep(fn, {"T": [2, 3, 4], "m": [4, 5]}, batch_size=2,
-                  pipeline_depth=2, sink=JsonlSink(path))
+            sweep(fn, {"T": [2, 3, 4], "m": [4, 5]},
+                  EngineConfig(batch_size=2, pipeline_depth=2,
+                               sink=JsonlSink(path)))
         rows = read_jsonl_rows(path)
         # both complete batches landed, in grid-product order
         assert [(r["T"], r["m"]) for r in rows] == [(2, 4), (2, 5),
@@ -507,8 +535,9 @@ class TestSweepPipelined:
 
         path = tmp_path / "rows.jsonl"
         with pytest.raises(KeyboardInterrupt):
-            sweep(_measure, {"T": [2, 3, 4], "m": [4, 5]}, batch_size=2,
-                  pipeline_depth=2, sink=Kill(path))
+            sweep(_measure, {"T": [2, 3, 4], "m": [4, 5]},
+                  EngineConfig(batch_size=2, pipeline_depth=2,
+                               sink=Kill(path)))
         rows = read_jsonl_rows(path)
         assert [(r["T"], r["m"]) for r in rows] == [(2, 4), (2, 5),
                                                     (3, 4)]

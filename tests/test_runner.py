@@ -9,11 +9,12 @@ import pytest
 import repro.offline
 import repro.online
 from repro.online.base import OnlineAlgorithm
-from repro.runner import (GridSpec, JobCache, aggregate_rows,
-                          algorithm_names, algorithm_table, build_instance,
-                          get_scenario, get_spec, instance_key, job_key,
-                          make_algorithm, make_solver, run_grid,
-                          scenario_names, solver_names, trace_suite)
+from repro.runner import (EngineConfig, GridSpec, JobCache, RunStats,
+                          aggregate_rows, algorithm_names, algorithm_table,
+                          build_instance, get_scenario, get_spec,
+                          instance_key, job_key, make_algorithm,
+                          make_solver, run_grid, scenario_names,
+                          solver_names, trace_suite)
 from repro.runner import engine as engine_mod
 from tests.conftest import random_convex_instance
 
@@ -147,7 +148,7 @@ SMALL = GridSpec(scenarios=("diurnal", "random-convex"),
                  seeds=(0, 1), sizes=(24,))
 
 
-def _cache_stats(stats: dict) -> dict:
+def _cache_stats(stats: RunStats) -> dict:
     """Just the result-cache counters (instance-resolution counters are
     process-wide and depend on what earlier tests left in the memo)."""
     return {k: stats[k] for k in ("job_hits", "job_misses", "opt_hits",
@@ -171,8 +172,8 @@ class TestEngine:
         assert all(r["pipeline"] == "general" for r in rows)
 
     def test_parallel_identical_to_serial(self):
-        rows1 = run_grid(SMALL, n_jobs=1)
-        rows4 = run_grid(SMALL, n_jobs=4)
+        rows1 = run_grid(SMALL, EngineConfig(n_jobs=1))
+        rows4 = run_grid(SMALL, EngineConfig(n_jobs=4))
         assert rows1 == rows4  # bit-identical, including float fields
 
     def test_offline_solver_jobs_have_ratio_one(self):
@@ -282,7 +283,8 @@ class TestPipelines:
         spec = GridSpec(scenarios=("hetero-fleet",),
                         algorithms=("dp_hetero", "greedy_hetero"),
                         seeds=(0, 1), sizes=(16,))
-        assert run_grid(spec, n_jobs=1) == run_grid(spec, n_jobs=4)
+        assert run_grid(spec, EngineConfig(n_jobs=1)) == run_grid(spec,
+                                                    EngineConfig(n_jobs=4))
 
     def test_pipeline_opt_solver_not_resolved_twice(self, monkeypatch):
         """The solver that defines a pipeline's optimum runs once, in
@@ -305,35 +307,37 @@ class TestPipelines:
 class TestJobCache:
     def test_cache_hit_skips_all_recomputation(self, tmp_path,
                                                monkeypatch):
-        rows = run_grid(SMALL, cache_dir=tmp_path)
+        rows = run_grid(SMALL, EngineConfig(cache_dir=tmp_path))
         runs = _count_calls(monkeypatch, "_run_job")
         solves = _count_calls(monkeypatch, "_solve_instance")
-        cached = run_grid(SMALL, cache_dir=tmp_path)
+        cached = run_grid(SMALL, EngineConfig(cache_dir=tmp_path))
         assert cached == rows and not runs and not solves
-        forced = run_grid(SMALL, cache_dir=tmp_path, force=True)
+        forced = run_grid(SMALL, EngineConfig(cache_dir=tmp_path, force=True))
         assert forced == rows and len(runs) == len(SMALL)
 
     def test_stats_counters(self, tmp_path):
-        first, second = {}, {}
-        run_grid(SMALL, cache_dir=tmp_path, stats=first)
-        run_grid(SMALL, cache_dir=tmp_path, stats=second)
+        first, second = RunStats(), RunStats()
+        run_grid(SMALL, EngineConfig(cache_dir=tmp_path), stats=first)
+        run_grid(SMALL, EngineConfig(cache_dir=tmp_path), stats=second)
         assert _cache_stats(first) == {"job_hits": 0, "job_misses": 8,
                                        "opt_hits": 0, "opt_solved": 4}
         assert _cache_stats(second) == {"job_hits": 8, "job_misses": 0,
                                         "opt_hits": 0, "opt_solved": 0}
         # instance-resolution counters ride along
-        assert {"inst_builds", "inst_loads", "inst_memo_hits"} <= set(first)
+        assert {"inst_builds", "inst_loads",
+                "inst_memo_hits"} <= set(first.as_dict())
 
     def test_extending_grid_pays_only_new_jobs(self, tmp_path,
                                                monkeypatch):
-        run_grid(SMALL, cache_dir=tmp_path)
+        run_grid(SMALL, EngineConfig(cache_dir=tmp_path))
         extended = GridSpec(scenarios=SMALL.scenarios,
                             algorithms=SMALL.algorithms,
                             seeds=(0, 1, 2), sizes=SMALL.sizes)
         runs = _count_calls(monkeypatch, "_run_job")
         solves = _count_calls(monkeypatch, "_solve_instance")
-        stats = {}
-        rows = run_grid(extended, cache_dir=tmp_path, stats=stats)
+        stats = RunStats()
+        rows = run_grid(extended, EngineConfig(cache_dir=tmp_path),
+                        stats=stats)
         assert len(rows) == 12
         # only the new seed's jobs executed: 2 scenarios x 2 algorithms
         assert len(runs) == 4
@@ -345,25 +349,26 @@ class TestJobCache:
 
     def test_overlapping_grids_share_instance_optima(self, tmp_path):
         run_grid(GridSpec(scenarios=("diurnal",), algorithms=("lcp",),
-                          seeds=(0,), sizes=(16,)), cache_dir=tmp_path)
-        stats = {}
+                          seeds=(0,), sizes=(16,)),
+                 EngineConfig(cache_dir=tmp_path))
+        stats = RunStats()
         run_grid(GridSpec(scenarios=("diurnal",),
                           algorithms=("threshold",),
                           seeds=(0,), sizes=(16,)),
-                 cache_dir=tmp_path, stats=stats)
+                 EngineConfig(cache_dir=tmp_path), stats=stats)
         # different job, same instance: the optimum is reused, not resolved
         assert _cache_stats(stats) == {"job_hits": 0, "job_misses": 1,
                                        "opt_hits": 1, "opt_solved": 0}
 
     def test_corrupt_job_record_recomputes_and_heals(self, tmp_path):
-        good = run_grid(SMALL, cache_dir=tmp_path)
+        good = run_grid(SMALL, EngineConfig(cache_dir=tmp_path))
         cache = JobCache(tmp_path)
         key = job_key(SMALL.jobs()[0])
         path = cache.path("jobs", key)
         path.write_text(path.read_text()[:25])  # truncate mid-record
         assert cache.get("jobs", key) is None
-        stats = {}
-        rows = run_grid(SMALL, cache_dir=tmp_path, stats=stats)
+        stats = RunStats()
+        rows = run_grid(SMALL, EngineConfig(cache_dir=tmp_path), stats=stats)
         assert rows == good
         assert stats["job_misses"] == 1 and stats["job_hits"] == 7
         assert cache.get("jobs", key) == good[0]  # rewritten
@@ -377,20 +382,21 @@ class TestJobCache:
         path.write_text(json.dumps({"key": "somebody-else",
                                     "record": {"cost": -1.0}}))
         assert cache.get("jobs", key) is None
-        rows = run_grid(SMALL, cache_dir=tmp_path)
+        rows = run_grid(SMALL, EngineConfig(cache_dir=tmp_path))
         assert all(r["cost"] >= 0 for r in rows)
 
     def test_corrupt_instance_record_recomputes(self, tmp_path):
-        run_grid(SMALL, cache_dir=tmp_path)
+        run_grid(SMALL, EngineConfig(cache_dir=tmp_path))
         cache = JobCache(tmp_path)
         coords = engine_mod._instance_coords(SMALL.jobs()[0])
         path = cache.path("instances", instance_key(coords))
         assert path.exists()
         path.write_text("{not json")
-        stats = {}
+        stats = RunStats()
         # force job misses so phase 1 runs again; the damaged instance
         # record is re-solved, the healthy one is reused
-        rows = run_grid(SMALL, cache_dir=tmp_path, force=True, stats=stats)
+        rows = run_grid(SMALL, EngineConfig(cache_dir=tmp_path, force=True),
+                        stats=stats)
         assert len(rows) == len(SMALL)
         assert stats["opt_solved"] == 4  # force bypasses reads entirely
 
@@ -403,12 +409,12 @@ class TestJobCache:
         """The same job reached through two different grid shapes hits."""
         run_grid(GridSpec(scenarios=("diurnal", "bursty"),
                           algorithms=("lcp",), seeds=(0,), sizes=(16,)),
-                 cache_dir=tmp_path)
-        stats = {}
+                 EngineConfig(cache_dir=tmp_path))
+        stats = RunStats()
         run_grid(GridSpec(scenarios=("diurnal",),
                           algorithms=("lcp", "threshold"),
                           seeds=(0,), sizes=(16,)),
-                 cache_dir=tmp_path, stats=stats)
+                 EngineConfig(cache_dir=tmp_path), stats=stats)
         assert stats["job_hits"] == 1 and stats["job_misses"] == 1
 
 
@@ -425,7 +431,7 @@ class TestAnalysisSweep:
         from repro.analysis import sweep
         grid = {"T": [2, 3], "m": [4, 5, 6]}
         serial = sweep(_measure, grid)
-        parallel = sweep(_measure, grid, n_jobs=2)
+        parallel = sweep(_measure, grid, EngineConfig(n_jobs=2))
         assert serial == parallel
         assert serial[0] == {"T": 2, "m": 4, "area": 8}
         assert len(serial) == 6
@@ -433,16 +439,18 @@ class TestAnalysisSweep:
     def test_sweep_per_point_cache(self, tmp_path):
         from repro.analysis import sweep
         grid = {"T": [2, 3], "m": [4, 5]}
-        stats1, stats2, stats3 = {}, {}, {}
-        rows = sweep(_measure, grid, cache_dir=tmp_path, stats=stats1)
-        again = sweep(_measure, grid, cache_dir=tmp_path, stats=stats2)
+        stats1, stats2, stats3 = RunStats(), RunStats(), RunStats()
+        rows = sweep(_measure, grid, EngineConfig(cache_dir=tmp_path),
+                     stats=stats1)
+        again = sweep(_measure, grid, EngineConfig(cache_dir=tmp_path),
+                      stats=stats2)
         assert rows == again
-        assert stats1 == {"hits": 0, "misses": 4}
-        assert stats2 == {"hits": 4, "misses": 0}
+        assert (stats1.hits, stats1.misses) == (0, 4)
+        assert (stats2.hits, stats2.misses) == (4, 0)
         # extending an axis pays only the new points
         sweep(_measure, {"T": [2, 3], "m": [4, 5, 6]},
-              cache_dir=tmp_path, stats=stats3)
-        assert stats3 == {"hits": 4, "misses": 2}
+              EngineConfig(cache_dir=tmp_path), stats=stats3)
+        assert (stats3.hits, stats3.misses) == (4, 2)
 
     def test_sweep_cache_rejects_ambiguous_functions(self, tmp_path):
         # lambdas/closures share qualnames (and partials have none), so
@@ -450,18 +458,21 @@ class TestAnalysisSweep:
         import functools
         from repro.analysis import sweep
         with pytest.raises(ValueError, match="module-level"):
-            sweep(lambda T: {"a": T}, {"T": [1]}, cache_dir=tmp_path)
+            sweep(lambda T: {"a": T}, {"T": [1]},
+                  EngineConfig(cache_dir=tmp_path))
         with pytest.raises(ValueError, match="module-level"):
             sweep(functools.partial(_measure, m=4), {"T": [1]},
-                  cache_dir=tmp_path)
+                  EngineConfig(cache_dir=tmp_path))
         assert sweep(lambda T: {"a": T}, {"T": [1]}) == [{"T": 1, "a": 1}]
 
     def test_sweep_cache_hit_and_miss_rows_identical(self, tmp_path):
         # miss rows are canonicalized through the JSON form, so a rerun
         # served from cache returns bit-identical rows
         from repro.analysis import sweep
-        first = sweep(_measure_np, {"T": [2, 3]}, cache_dir=tmp_path)
-        again = sweep(_measure_np, {"T": [2, 3]}, cache_dir=tmp_path)
+        first = sweep(_measure_np, {"T": [2, 3]},
+                      EngineConfig(cache_dir=tmp_path))
+        again = sweep(_measure_np, {"T": [2, 3]},
+                      EngineConfig(cache_dir=tmp_path))
         assert first == again
         assert isinstance(first[0]["v"], float)
         assert first[0]["pair"] == [2, 4]

@@ -6,9 +6,10 @@ import json
 import numpy as np
 import pytest
 
-from repro.runner import (GridSpec, JobCache, JsonlSink, ListSink,
-                          SqliteSink, aggregate_rows, make_sink,
-                          read_jsonl_rows, read_sqlite_rows, run_grid)
+from repro.runner import (EngineConfig, GridSpec, JobCache, JsonlSink,
+                          ListSink, RunStats, SqliteSink, aggregate_rows,
+                          make_sink, read_jsonl_rows, read_sqlite_rows,
+                          run_grid)
 from repro.runner import engine as engine_mod
 
 GRID = GridSpec(scenarios=("diurnal", "sawtooth"),
@@ -20,17 +21,17 @@ class TestStreaming:
     def test_batched_rows_identical_to_monolithic(self):
         rows = run_grid(GRID)
         for batch_size in (1, 2, 5, 7, 100):
-            assert run_grid(GRID, batch_size=batch_size) == rows
+            assert run_grid(GRID, EngineConfig(batch_size=batch_size)) == rows
 
     def test_batched_parallel_identical_to_serial(self):
-        assert (run_grid(GRID, batch_size=3, n_jobs=4)
-                == run_grid(GRID, batch_size=3, n_jobs=1))
+        assert (run_grid(GRID, EngineConfig(batch_size=3, n_jobs=4))
+                == run_grid(GRID, EngineConfig(batch_size=3, n_jobs=1)))
 
     def test_max_pending_bounded_by_batch_size(self):
         """The acceptance property: a grid with batch_size set holds at
         most O(batch_size) pending rows in the parent."""
-        stats: dict = {}
-        run_grid(GRID, batch_size=4, stats=stats)
+        stats = RunStats()
+        run_grid(GRID, EngineConfig(batch_size=4), stats=stats)
         assert stats["max_pending"] <= 4
         assert stats["batches"] == 3  # ceil(12 / 4)
         assert stats["rows_written"] == len(GRID) == 12
@@ -43,44 +44,47 @@ class TestStreaming:
         real = engine_mod._solve_instance
         monkeypatch.setattr(engine_mod, "_solve_instance",
                             lambda t: calls.append(t) or real(t))
-        run_grid(GRID, batch_size=2)  # algorithms split across batches
+        # algorithms split across batches
+        run_grid(GRID, EngineConfig(batch_size=2))
         assert len(calls) == 4        # 2 scenarios x 2 seeds, once each
 
     def test_invalid_batch_size_rejected(self):
         with pytest.raises(ValueError, match="batch_size"):
-            run_grid(GRID, batch_size=0)
+            run_grid(GRID, EngineConfig(batch_size=0))
 
     def test_sink_parity_list_jsonl_sqlite(self, tmp_path):
         """The tentpole parity property: every sink sees the same rows,
         row for row, in the same order."""
-        rows = run_grid(GRID, sink=ListSink(), batch_size=5)
-        jsonl_path = run_grid(GRID, sink=JsonlSink(tmp_path / "r.jsonl"),
-                              batch_size=5)
-        sqlite_path = run_grid(GRID, sink=SqliteSink(tmp_path / "r.db"),
-                               batch_size=5)
+        rows = run_grid(GRID, EngineConfig(sink=ListSink(), batch_size=5))
+        jsonl_path = run_grid(GRID, EngineConfig(
+            sink=JsonlSink(tmp_path / "r.jsonl"), batch_size=5))
+        sqlite_path = run_grid(GRID, EngineConfig(
+            sink=SqliteSink(tmp_path / "r.db"), batch_size=5))
         assert read_jsonl_rows(jsonl_path) == rows
         assert read_sqlite_rows(sqlite_path) == rows
 
     def test_file_sinks_round_trip_cached_rows(self, tmp_path):
         """Rows served from the job cache and rows computed live are
         indistinguishable through a file sink."""
-        live = run_grid(GRID, cache_dir=tmp_path / "cache",
-                        sink=JsonlSink(tmp_path / "live.jsonl"))
-        cached = run_grid(GRID, cache_dir=tmp_path / "cache",
-                          sink=JsonlSink(tmp_path / "cached.jsonl"))
+        live = run_grid(GRID, EngineConfig(
+            cache_dir=tmp_path / "cache",
+            sink=JsonlSink(tmp_path / "live.jsonl")))
+        cached = run_grid(GRID, EngineConfig(
+            cache_dir=tmp_path / "cache",
+            sink=JsonlSink(tmp_path / "cached.jsonl")))
         assert read_jsonl_rows(live) == read_jsonl_rows(cached)
 
     def test_file_sinks_truncate_by_default_append_on_request(self,
                                                               tmp_path):
         path = tmp_path / "rows.jsonl"
-        run_grid(GRID, sink=JsonlSink(path))
-        run_grid(GRID, sink=JsonlSink(path))
+        run_grid(GRID, EngineConfig(sink=JsonlSink(path)))
+        run_grid(GRID, EngineConfig(sink=JsonlSink(path)))
         assert len(read_jsonl_rows(path)) == len(GRID)
-        run_grid(GRID, sink=JsonlSink(path, append=True))
+        run_grid(GRID, EngineConfig(sink=JsonlSink(path, append=True)))
         assert len(read_jsonl_rows(path)) == 2 * len(GRID)
         db = tmp_path / "rows.db"
-        run_grid(GRID, sink=SqliteSink(db))
-        run_grid(GRID, sink=SqliteSink(db))
+        run_grid(GRID, EngineConfig(sink=SqliteSink(db)))
+        run_grid(GRID, EngineConfig(sink=SqliteSink(db)))
         assert len(read_sqlite_rows(db)) == len(GRID)
 
     def test_make_sink(self, tmp_path):
@@ -96,8 +100,8 @@ class TestStreaming:
 
     def test_aggregates_identical_through_file_sink(self, tmp_path):
         rows = run_grid(GRID)
-        path = run_grid(GRID, sink=JsonlSink(tmp_path / "r.jsonl"),
-                        batch_size=3)
+        path = run_grid(GRID, EngineConfig(
+            sink=JsonlSink(tmp_path / "r.jsonl"), batch_size=3))
         assert (aggregate_rows(read_jsonl_rows(path))
                 == aggregate_rows(rows))
 
@@ -123,15 +127,17 @@ class TestKillResume:
         cache = JobCache(tmp_path)
         killed = _KillSink(5)
         with pytest.raises(KeyboardInterrupt):
-            run_grid(GRID, cache_dir=cache, batch_size=2, sink=killed)
+            run_grid(GRID,
+                     EngineConfig(cache_dir=cache, batch_size=2, sink=killed))
         survivors = len(killed.rows)
         assert 0 < survivors < len(GRID)
         runs = []
         real = engine_mod._run_job
         monkeypatch.setattr(engine_mod, "_run_job",
                             lambda t: runs.append(t) or real(t))
-        stats: dict = {}
-        rows = run_grid(GRID, cache_dir=cache, batch_size=2, stats=stats)
+        stats = RunStats()
+        rows = run_grid(GRID, EngineConfig(cache_dir=cache, batch_size=2),
+                        stats=stats)
         assert len(rows) == len(GRID)
         # the kill happened on the sink, after the batch's cache puts:
         # at least every flushed row (and at most one extra batch) hit
@@ -144,13 +150,15 @@ class TestKillResume:
     def test_killed_jsonl_sink_leaves_resumable_file(self, tmp_path):
         path = tmp_path / "rows.jsonl"
         with pytest.raises(KeyboardInterrupt):
-            run_grid(GRID, cache_dir=tmp_path / "c", batch_size=2,
-                     sink=_JsonlKill(path, 5))
+            run_grid(GRID,
+                     EngineConfig(cache_dir=tmp_path / "c", batch_size=2,
+                                  sink=_JsonlKill(path, 5)))
         partial = read_jsonl_rows(path)
         assert 0 < len(partial) < len(GRID)
         # resume: fresh sink on the same path rewrites the full table
-        full = run_grid(GRID, cache_dir=tmp_path / "c",
-                        sink=JsonlSink(path))
+        full = run_grid(GRID,
+                        EngineConfig(cache_dir=tmp_path / "c",
+                                     sink=JsonlSink(path)))
         rows = read_jsonl_rows(full)
         assert len(rows) == len(GRID)
         assert rows[:len(partial)] == partial  # prefix unchanged
@@ -185,9 +193,9 @@ class TestParamsAxis:
         b = GridSpec(scenarios=("case-msr",), algorithms=("static",),
                      seeds=(0,), sizes=(16,), params=({"beta": 2.0},))
         assert a.jobs() == b.jobs()
-        run_grid(a, cache_dir=tmp_path)
-        stats: dict = {}
-        run_grid(b, cache_dir=tmp_path, stats=stats)
+        run_grid(a, EngineConfig(cache_dir=tmp_path))
+        stats = RunStats()
+        run_grid(b, EngineConfig(cache_dir=tmp_path), stats=stats)
         assert stats["job_hits"] == 1 and stats["job_misses"] == 0
 
     def test_bad_params_rejected(self):
@@ -239,16 +247,16 @@ class TestGamePipeline:
                         "game-threshold"),
             seeds=(0,), sizes=(1500,),
             params=({"eps": 0.2}, {"eps": 0.1}))
-        serial = run_grid(spec, batch_size=3)
-        parallel = run_grid(spec, n_jobs=4, batch_size=3)
+        serial = run_grid(spec, EngineConfig(batch_size=3))
+        parallel = run_grid(spec, EngineConfig(n_jobs=4, batch_size=3))
         assert serial == parallel
 
     def test_sim_determinism_under_parallel_jobs(self, tmp_path):
         spec = GridSpec(scenarios=("sim-diurnal",),
                         algorithms=("sim-opt", "sim-lcp", "sim-static"),
                         seeds=(0, 1), sizes=(48,))
-        serial = run_grid(spec, store_dir=tmp_path)
-        parallel = run_grid(spec, store_dir=tmp_path, n_jobs=4)
+        serial = run_grid(spec, EngineConfig(store_dir=tmp_path))
+        parallel = run_grid(spec, EngineConfig(store_dir=tmp_path, n_jobs=4))
         assert serial == parallel
         by_alg = {r["algorithm"]: r for r in serial}
         assert by_alg["sim-opt"]["ratio"] == pytest.approx(1.0)
@@ -257,33 +265,35 @@ class TestGamePipeline:
 
     def test_game_jobs_cache_like_any_other(self, tmp_path,
                                             monkeypatch):
-        run_grid(GAME_GRID, cache_dir=tmp_path)
+        run_grid(GAME_GRID, EngineConfig(cache_dir=tmp_path))
         runs = []
         monkeypatch.setattr(engine_mod, "_run_job",
                             lambda t: runs.append(t) or None)
-        stats: dict = {}
-        rows = run_grid(GAME_GRID, cache_dir=tmp_path, stats=stats)
+        stats = RunStats()
+        rows = run_grid(GAME_GRID, EngineConfig(cache_dir=tmp_path),
+                        stats=stats)
         assert not runs and stats["job_hits"] == 2
         assert [r["eps"] for r in rows] == [0.2, 0.1]
 
     def test_adaptive_games_not_materialized(self, tmp_path):
         """lb-* scenarios have no dense payload: a store_dir grid must
         not try (and fail) to materialize them."""
-        stats: dict = {}
-        rows = run_grid(GAME_GRID, store_dir=tmp_path, stats=stats)
+        stats = RunStats()
+        rows = run_grid(GAME_GRID, EngineConfig(store_dir=tmp_path),
+                        stats=stats)
         assert len(rows) == 2
         assert stats["inst_materialized"] == 0
 
     def test_sim_games_materialize_and_reload(self, tmp_path):
         spec = GridSpec(scenarios=("sim-diurnal",),
                         algorithms=("sim-lcp",), seeds=(0,), sizes=(48,))
-        stats1: dict = {}
-        rows1 = run_grid(spec, store_dir=tmp_path, stats=stats1)
+        stats1 = RunStats()
+        rows1 = run_grid(spec, EngineConfig(store_dir=tmp_path), stats=stats1)
         assert stats1["inst_materialized"] == 1
         from repro.runner.instancestore import clear_memo
         clear_memo()
-        stats2: dict = {}
-        rows2 = run_grid(spec, store_dir=tmp_path, stats=stats2)
+        stats2 = RunStats()
+        rows2 = run_grid(spec, EngineConfig(store_dir=tmp_path), stats=stats2)
         assert stats2["inst_materialized"] == 0
         assert stats2["inst_builds"] == 0  # reloaded via mmap, not rebuilt
         assert rows1 == rows2
@@ -337,21 +347,22 @@ class TestSweepStreaming:
         from tests.test_runner import _measure
         grid = {"T": [2, 3], "m": [4, 5, 6]}
         rows = sweep(_measure, grid)
-        path = sweep(_measure, grid, sink=JsonlSink(tmp_path / "s.jsonl"),
-                     batch_size=2)
+        path = sweep(_measure, grid,
+                     EngineConfig(sink=JsonlSink(tmp_path / "s.jsonl"),
+                                  batch_size=2))
         assert read_jsonl_rows(path) == rows
 
     def test_sweep_batched_cache_counts(self, tmp_path):
         from repro.analysis import sweep
         from tests.test_runner import _measure
         grid = {"T": [2, 3], "m": [4, 5]}
-        stats1, stats2 = {}, {}
-        sweep(_measure, grid, cache_dir=tmp_path, stats=stats1,
-              batch_size=3)
-        sweep(_measure, grid, cache_dir=tmp_path, stats=stats2,
-              batch_size=1)
-        assert stats1 == {"hits": 0, "misses": 4}
-        assert stats2 == {"hits": 4, "misses": 0}
+        stats1, stats2 = RunStats(), RunStats()
+        sweep(_measure, grid, EngineConfig(cache_dir=tmp_path, batch_size=3),
+              stats=stats1)
+        sweep(_measure, grid, EngineConfig(cache_dir=tmp_path, batch_size=1),
+              stats=stats2)
+        assert (stats1.hits, stats1.misses) == (0, 4)
+        assert (stats2.hits, stats2.misses) == (4, 0)
 
 
 def test_jsonify_round_trip_through_sinks(tmp_path):
