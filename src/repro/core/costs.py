@@ -133,6 +133,56 @@ class PiecewiseLinearCost(CostFunction):
         return out if out.size > 1 else float(out[0])
 
 
+# ---------------------------------------------------------------------------
+# Shared formulas.  The cost classes evaluate one row through these; the
+# trace builders (repro.workloads.instance_from_loads, the hetero-mix
+# scenario) call them once on a (T, 1) parameter column against a
+# (1, m+1) state row.  One code path means one IEEE op sequence per cell,
+# so the whole-table result is bit-identical to the per-row tables.
+# ---------------------------------------------------------------------------
+
+def _quadratic(x, a, x0, b):
+    """``a * (x - x0)^2 + b`` (the :class:`QuadraticCost` formula)."""
+    return a * (x - x0) ** 2 + b
+
+
+def _sla_hinge(x, required, penalty):
+    """``penalty * (required - x)^+`` (the :class:`SLAHingeCost` formula)."""
+    return penalty * np.maximum(required - x, 0.0)
+
+
+def _queueing_delay(x, load, weight, headroom):
+    """The :class:`QueueingDelayCost` formula, broadcast over the states
+    ``x`` and a scalar or array ``load`` (``weight`` and ``headroom`` are
+    scalars).
+
+    The square is ``np.float_power(d, 2.0)``, i.e. libm ``pow`` — what a
+    Python-float ``d ** 2`` computes.  NumPy's array ``** 2`` is an exact
+    square instead and differs by one ulp on some loads
+    (``load = 7.144274390888516``), so it must not be used here.
+    At most two result-sized float buffers are live at once.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    lo = np.ceil(load)
+    d = lo - load + headroom
+    wl = weight * load
+    # Linear extension below ceil(load): continue with the (negative)
+    # slope of the hyperbola at lo so second differences stay >= 0.
+    slope_at_lo = -wl / np.float_power(d, 2.0)
+    value_at_lo = wl / d
+    out = np.empty(np.broadcast_shapes(x.shape, np.shape(lo)))
+    np.maximum(x, lo, out=out)
+    out -= load
+    out += headroom
+    np.divide(wl, out, out=out)
+    below = x < lo
+    ext = np.subtract(x, lo)
+    ext *= slope_at_lo
+    ext += value_at_lo
+    np.copyto(out, ext, where=below)
+    return out
+
+
 @dataclasses.dataclass(frozen=True)
 class QuadraticCost(CostFunction):
     """``f(x) = a*(x - x0)^2 + b`` with ``a >= 0`` — strongly convex bowl."""
@@ -146,7 +196,7 @@ class QuadraticCost(CostFunction):
             raise ValueError("quadratic coefficient must be non-negative")
 
     def _evaluate(self, x):
-        return self.a * (x - self.x0) ** 2 + self.b
+        return _quadratic(x, self.a, self.x0, self.b)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -186,24 +236,15 @@ class QueueingDelayCost(CostFunction):
     headroom: float = 1.0
 
     def __post_init__(self):
-        if self.load < 0:
-            raise ValueError("load must be non-negative")
+        if not 0 <= self.load < math.inf:
+            raise ValueError("load must be non-negative and finite")
         if self.weight < 0:
             raise ValueError("weight must be non-negative")
         if self.headroom <= 0:
             raise ValueError("headroom must be positive")
 
     def _evaluate(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        lo = math.ceil(self.load)
-        denom = np.maximum(x, lo) - self.load + self.headroom
-        base = self.weight * self.load / denom
-        # Linear extension below ceil(load): continue with the (negative)
-        # slope of the hyperbola at lo so second differences stay >= 0.
-        slope_at_lo = -self.weight * self.load / (lo - self.load + self.headroom) ** 2
-        value_at_lo = self.weight * self.load / (lo - self.load + self.headroom)
-        ext = value_at_lo + (x - lo) * slope_at_lo
-        return np.where(x < lo, ext, base)
+        return _queueing_delay(x, self.load, self.weight, self.headroom)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -222,7 +263,7 @@ class SLAHingeCost(CostFunction):
             raise ValueError("penalty must be non-negative")
 
     def _evaluate(self, x):
-        return self.penalty * np.maximum(self.required - x, 0.0)
+        return _sla_hinge(x, self.required, self.penalty)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -433,8 +474,11 @@ def check_cost_matrix(F: np.ndarray, *, require_convex: bool = True,
         raise ValueError("cost matrix needs at least the state-0 column")
     if F.shape[0] == 0:
         return F
-    if not np.all(np.isfinite(F)):
-        raise ValueError("cost matrix contains non-finite values")
+    finite = np.isfinite(F)
+    if not finite.all():
+        t, j = np.unravel_index(int(np.argmin(finite)), F.shape)
+        raise ValueError(f"cost matrix contains non-finite values: "
+                         f"F[{t}, {j}] = {float(F[t, j])}")
     if np.any(F < -tol):
         raise ValueError("operating costs must be non-negative")
     if require_convex and F.shape[1] > 2:

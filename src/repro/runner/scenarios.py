@@ -195,25 +195,24 @@ def _build_hetero_mix(T, rng):
     """Heterogeneous cost structure: per-step costs drawn from three
     convex families (queueing delay, quadratic bowl, SLA hinge) along one
     diurnal load trajectory — stresses algorithms whose analysis leans on
-    the cost family staying fixed."""
-    from ..core.costs import (AffineEnergyCost, QuadraticCost,
-                              QueueingDelayCost, SLAHingeCost, SumCost)
+    the cost family staying fixed.
+
+    Row ``t`` is ``SumCost(AffineEnergyCost(1.0), body)`` with the body
+    chosen by ``t % 3``; each family is broadcast over its rows at once.
+    """
+    from ..core.costs import (AffineEnergyCost, _quadratic, _queueing_delay,
+                              _sla_hinge)
     from ..core.instance import Instance
     from ..workloads import capacity_for, diurnal_loads
     loads = diurnal_loads(T, peak=_PEAK, rng=rng)
     m = capacity_for(loads)
-    fs = []
-    for t, lam in enumerate(loads):
-        lam = float(lam)
-        kind = t % 3
-        if kind == 0:
-            body = QueueingDelayCost(lam, weight=_DELAY_WEIGHT)
-        elif kind == 1:
-            body = QuadraticCost(0.5, lam)
-        else:
-            body = SLAHingeCost(lam, 8.0)
-        fs.append(SumCost(AffineEnergyCost(1.0), body))
-    return Instance.from_functions(fs, m, _BETA)
+    states = np.arange(m + 1, dtype=np.float64)
+    F = np.empty((T, m + 1), dtype=np.float64)
+    F[0::3] = _queueing_delay(states, loads[0::3, None], _DELAY_WEIGHT, 1.0)
+    F[1::3] = _quadratic(states, 0.5, loads[1::3, None], 0.0)
+    F[2::3] = _sla_hinge(states, loads[2::3, None], 8.0)
+    F += AffineEnergyCost(1.0)(states)  # energy + body: addition commutes
+    return Instance(beta=_BETA, F=F)
 
 
 def _build_hetero_fleet(T, rng):

@@ -17,8 +17,7 @@ import math
 
 import numpy as np
 
-from ..core.costs import (AffineEnergyCost, QueueingDelayCost, SLAHingeCost,
-                          SumCost)
+from ..core.costs import AffineEnergyCost, _queueing_delay, _sla_hinge
 from ..core.instance import Instance, RestrictedInstance
 
 __all__ = [
@@ -44,18 +43,29 @@ def instance_from_loads(loads, m: int, beta: float, *,
     [+ sla_penalty * (load_t - x)^+]`` — convex in ``x`` (sum of convex
     parts), non-negative, and exhibiting the tension the paper studies:
     few servers are cheap on energy but expensive on latency.
+
+    The ``(T, m+1)`` table is built in one broadcast pass of the shared
+    cost formulas over a ``(T, 1)`` loads column and the ``(m+1,)``
+    state row; every cell is bit-identical to tabulating the per-step
+    ``SumCost(AffineEnergyCost, QueueingDelayCost[, SLAHingeCost])``.
     """
     loads = np.asarray(loads, dtype=np.float64)
+    if loads.ndim != 1:
+        raise ValueError(f"loads must be 1-D, got shape {loads.shape}")
+    if not np.all(loads >= 0):
+        raise ValueError("loads must be non-negative numbers")
     if np.any(loads > m):
         raise ValueError("m must be at least the peak load")
-    fs = []
-    for lam in loads:
-        parts = [AffineEnergyCost(energy),
-                 QueueingDelayCost(float(lam), weight=delay_weight)]
-        if sla_penalty > 0:
-            parts.append(SLAHingeCost(float(lam), sla_penalty))
-        fs.append(SumCost(*parts))
-    return Instance.from_functions(fs, m, beta)
+    if not delay_weight >= 0:
+        raise ValueError("delay_weight must be non-negative")
+    states = np.arange(m + 1, dtype=np.float64)
+    energy_row = AffineEnergyCost(energy)(states)
+    F = _queueing_delay(states, loads[:, None], delay_weight, 1.0)
+    # SumCost order: energy, then delay (IEEE addition commutes), then SLA
+    F += energy_row
+    if sla_penalty > 0:
+        F += _sla_hinge(states, loads[:, None], sla_penalty)
+    return Instance(beta=beta, F=F)
 
 
 def default_server_cost(e0: float = 1.0, e1: float = 1.0):
