@@ -6,13 +6,13 @@ grid at several horizons, under five execution variants:
 * ``rebuild``    — the pre-store behavior: the per-process memo is
   disabled, so every phase-1/phase-2 job re-tabulates its instance's
   cost matrix (what PR 2 shipped);
-* ``mmap_store`` — phase 0 has materialized the instance store; jobs
+* ``mmap_store`` — a warm-up run has written the instance store; jobs
   reopen the payload read-only via mmap (memo cleared between runs, so
   the measurement is load-from-store, not load-from-memory), with
   fusion disabled (``chunk_jobs=1``) — the PR 3 steady state;
 * ``pipelined``  — the store plus double-buffered batches
-  (``pipeline_depth=2``): batch N+1's phase 0/1 is submitted while
-  batch N's phase 2 runs (with ``n_jobs=1`` this isolates the pipeline
+  (``pipeline_depth=2``): batch N+1's phase-1 solves are submitted
+  while batch N's phase 2 runs (with ``n_jobs=1`` this isolates the pipeline
   machinery's overhead — it must not lose to ``mmap_store``);
 * ``fused``      — ``pipelined`` plus fused chunk dispatch: several
   jobs per worker round-trip, and LCP-family jobs on one instance
@@ -139,8 +139,8 @@ def bench_engine(sizes=DEFAULT_SIZES, algorithms=DEFAULT_ALGORITHMS,
     def measure(T: int, workdir: pathlib.Path) -> list[dict]:
         spec = GridSpec(scenarios=(scenario,), algorithms=tuple(algorithms),
                         seeds=(0,), sizes=(int(T),))
-        # warm the store and the result cache first (phase 0 / first run
-        # are what 'cold' pays; the variants measure the steady state)
+        # warm the store and the result cache first (the first run is
+        # what 'cold' pays; the variants measure the steady state)
         run_grid(spec, EngineConfig(n_jobs=n_jobs,
                                     store_dir=workdir / "store",
                                     cache_dir=workdir / "cache"))

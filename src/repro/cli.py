@@ -173,10 +173,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="cache storage backend (auto detects an "
                              "existing cache.db, else JSON dir)")
         sp.add_argument("--store-dir", metavar="DIR",
-                        help="materialize each distinct instance once "
-                             "into a shared mmap store under DIR "
-                             "(phase 0); workers map it read-only "
-                             "instead of rebuilding")
+                        help="write each distinct instance through, "
+                             "once, into a shared mmap store under DIR; "
+                             "workers map it read-only instead of "
+                             "rebuilding")
         sp.add_argument("--force", action="store_true",
                         help="recompute even on a cache hit")
         sp.add_argument("--batch-size", type=int, default=None,
@@ -188,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="D",
                         help="batches kept in flight at once: with "
                              "n_jobs > 1, batch N+1's instances "
-                             "materialize and solve while batch N's "
+                             "are built and solved while batch N's "
                              "algorithm jobs still run (1 = barrier "
                              "per batch)")
         sp.add_argument("--chunk-jobs", type=int, default=None,
@@ -537,8 +537,16 @@ def _print_sink_results(result, args, stats, n_jobs: int,
           f"{stats.overlapped_batches} overlapped)")
 
 
-def _print_store_stats(stats) -> None:
-    print(f"store: {stats.inst_materialized} instances materialized, "
+def _store_entries(args) -> int:
+    """Payloads in the ``--store-dir`` store (0 without one)."""
+    if not getattr(args, "store_dir", None):
+        return 0
+    from .runner import InstanceStore
+    return InstanceStore(args.store_dir).stats()["entries"]
+
+
+def _print_store_stats(stats, written: int) -> None:
+    print(f"store: {written} instances materialized, "
           f"{stats.inst_builds} built in-process, "
           f"{stats.inst_loads} mmap loads, "
           f"{stats.inst_memo_hits} memo hits")
@@ -590,6 +598,7 @@ def _cmd_sweep(args) -> int:
                        _split(args.seeds, int), _split(args.T, int),
                        lookahead=args.lookahead, params=params)
     stats = RunStats()
+    stored_before = _store_entries(args)
     result = run_grid(spec, _make_cli_config(args, _make_cli_sink(args)),
                       stats=stats)
     title = f"sweep {len(spec)} jobs (key {spec.cache_key()})"
@@ -602,7 +611,7 @@ def _cmd_sweep(args) -> int:
     if args.cache_dir:
         _print_cache_stats(stats)
     if args.store_dir:
-        _print_store_stats(stats)
+        _print_store_stats(stats, _store_entries(args) - stored_before)
     return 0
 
 
@@ -610,6 +619,7 @@ def _cmd_bench(args) -> int:
     from .runner import GridSpec, RunStats, run_grid
     spec = GridSpec(**_BENCH_GRIDS[args.grid])
     stats = RunStats()
+    stored_before = _store_entries(args)
     start = time.perf_counter()
     result = run_grid(spec, _make_cli_config(args, _make_cli_sink(args)),
                       stats=stats)
@@ -628,7 +638,7 @@ def _cmd_bench(args) -> int:
     if args.cache_dir:
         _print_cache_stats(stats)
     if args.store_dir:
-        _print_store_stats(stats)
+        _print_store_stats(stats, _store_entries(args) - stored_before)
     return 0
 
 

@@ -14,18 +14,17 @@ The runner is the substrate every large-scale experiment stands on:
   in-order-drain scheduling loop (:func:`run_pipeline`) the engine,
   ``analysis/sweep`` and the lease-queue worker all run on.
 * :mod:`repro.runner.engine` — expands a :class:`GridSpec` of
-  (scenario x algorithm x seed x size) into jobs, materializes each
-  distinct instance once (phase 0), solves each instance's offline
-  optimum once (phase 1), fans the algorithm jobs out on a persistent
-  process pool with deterministic per-job seeding (phase 2) and
-  aggregates competitive ratios.
+  (scenario x algorithm x seed x size) into jobs, builds and solves
+  each distinct instance's offline optimum once (phase 1), fans the
+  algorithm jobs out on a persistent process pool with deterministic
+  per-job seeding (phase 2) and aggregates competitive ratios.
 * :mod:`repro.runner.leasequeue` — multi-host execution: a WAL-mode
   SQLite lease queue workers claim contiguous job ranges from
   (heartbeat, expiry, reclaim), plus the :func:`merge_results` step
   that reassembles per-worker rows into one bit-identical result set.
-* :mod:`repro.runner.instancestore` — the shared mmap-backed store of
-  materialized instance payloads plus the per-process build memo, so no
-  process ever tabulates the same cost matrix twice.
+* :mod:`repro.runner.instancestore` — the shared mmap-backed,
+  write-through store of instance payloads plus the per-process build
+  memo, so no process ever tabulates the same cost matrix twice.
 * :mod:`repro.runner.jobcache` — the per-job content-addressed result
   store behind incremental grids (JSON-dir or single-file SQLite
   backend): one record per job / instance optimum, shared by every

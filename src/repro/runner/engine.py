@@ -6,20 +6,20 @@ it: job coordinates are generated lazily, submitted in bounded batches
 (``batch_size``), and finished rows flow — in job order — into a
 pluggable result sink (:mod:`repro.runner.sinks`), so a million-job
 grid holds O(``pipeline_depth`` x batch) pending records in the parent
-instead of the whole table.  Each batch runs through three phases —
+instead of the whole table.  Each batch runs through two phases —
 in-process or on a persistent process pool with fused chunking:
 
-* **Phase 0 — materialization.**  With a ``store_dir``, each distinct
-  ``(scenario, pipeline, T, inst_seed)`` instance is built exactly once
-  and its dense payload written to the content-addressed
-  :class:`~repro.runner.instancestore.InstanceStore`; later phases (and
-  every other grid sharing the store) reopen it read-only via ``mmap``
-  instead of re-tabulating cost matrices.  Even without a store, a
-  per-process memo guarantees no process builds the same instance twice.
 * **Phase 1 — instances.**  Each distinct instance's offline optimum is
   solved exactly once, however many algorithms the grid runs on it.
   Optima are persisted when a cache directory is given, so a grid with
-  ``A`` algorithms pays roughly ``1/A`` of the naive per-job cost.
+  ``A`` algorithms pays roughly ``1/A`` of the naive per-job cost.  The
+  solve builds the ``(scenario, pipeline, T, inst_seed)`` instance;
+  with a ``store_dir`` that build is written through to the
+  content-addressed :class:`~repro.runner.instancestore.InstanceStore`
+  (:func:`~repro.runner.instancestore.get_instance`), so phase 2 (and
+  every other grid sharing the store) reopens it read-only via ``mmap``
+  instead of re-tabulating cost matrices.  Even without a store, a
+  per-process memo guarantees no process builds the same instance twice.
 * **Phase 2 — algorithms.**  Algorithm jobs fan out in *fused chunks*
   (``chunk_jobs`` jobs per worker round-trip, amortizing pickle/IPC),
   each reusing its instance's hoisted optimum; jobs of one instance
@@ -35,15 +35,14 @@ The double-buffer / in-order-drain scheduling itself lives in
 :mod:`repro.runner.executor` (:func:`~repro.runner.executor.\
 run_pipeline`), shared with :func:`repro.analysis.sweep.sweep` and the
 multi-host lease-queue worker loop: this module contributes the grid
-*consumer* — the three-phase stage machine each admitted batch runs
+*consumer* — the two-phase stage machine each admitted batch runs
 (:class:`_BatchState` driven by :class:`_GridRun`).  Up to
 ``pipeline_depth`` batches are in flight at once, so while batch N's
 phase-2 chunks run, the parent is already generating batch N+1 and
-submitting its phase-0 materializations and phase-1 solves — workers
-never idle waiting for the parent to build the next batch.  The
-``overlapped_batches`` and ``inflight_max`` stats counters prove the
-overlap (both stay at 0/1 on the in-process path, where each batch
-completes synchronously).
+submitting its phase-1 solves — workers never idle waiting for the
+parent to build the next batch.  The ``overlapped_batches`` and
+``inflight_max`` stats counters prove the overlap (both stay at 0/1 on
+the in-process path, where each batch completes synchronously).
 
 Three properties make this the substrate for every large experiment:
 
@@ -99,7 +98,7 @@ from .executor import (EngineConfig, PipelineBatch, RetryPolicy, RunStats,
                        as_config, parallel_map, pool_generation,
                        respawn_pool, retry_sleep, run_pipeline,
                        shutdown_pool)
-from .instancestore import InstanceStore, get_instance
+from .instancestore import get_instance
 from .jobcache import JobCache, content_key
 from .sinks import ListSink
 
@@ -245,7 +244,7 @@ def job_key(job: tuple) -> str:
 
 
 def _instance_coords(job: tuple) -> tuple:
-    """The phase-0/1 coordinates a job's instance is built from."""
+    """The coordinates a job's instance is built (and stored) from."""
     from .registry import get_spec
     scenario, algorithm, T, inst_seed, _seed, _lookahead, params = job
     return (scenario, get_spec(algorithm).pipeline, T, inst_seed, params)
@@ -773,11 +772,11 @@ class _Promise:
 
 
 #: batch pipeline stages, in order
-_MAT, _SOLVE, _RUN, _DONE = range(4)
+_SOLVE, _RUN, _DONE = range(3)
 
 
 class _BatchState(PipelineBatch):
-    """One in-flight batch's progress through the three phases.
+    """One in-flight batch's progress through the two phases.
 
     The stage machine itself (cache lookups, phase submissions,
     harvests) lives on the owning :class:`_GridRun`; this object holds
@@ -787,9 +786,8 @@ class _BatchState(PipelineBatch):
     """
 
     __slots__ = ("run", "batch", "size", "rows", "pending", "stage",
-                 "mat_futures", "mat_borrowed", "to_solve",
-                 "own_promises", "borrowed", "records", "run_futures",
-                 "solve_chunks")
+                 "to_solve", "own_promises", "borrowed", "records",
+                 "run_futures", "solve_chunks")
 
     def __init__(self, run: "_GridRun", batch: list):
         self.run = run
@@ -797,9 +795,7 @@ class _BatchState(PipelineBatch):
         self.size = len(batch)
         self.rows: list = [None] * len(batch)
         self.pending: list[tuple[int, tuple, str]] = []
-        self.stage = _MAT
-        self.mat_futures: list[tuple[list, Future]] = []
-        self.mat_borrowed: list[Future] = []
+        self.stage = _SOLVE
         self.to_solve: list[tuple] = []
         self.own_promises: dict[tuple, _Promise] = {}
         self.borrowed: dict[tuple, _Promise] = {}
@@ -818,17 +814,14 @@ class _BatchState(PipelineBatch):
 
     def unfinished_futures(self) -> list[Future]:
         """Futures the scheduler may need to block on."""
-        futures = [f for _c, f in self.mat_futures if not f.done()]
-        futures += [f for f in self.mat_borrowed if not f.done()]
-        futures += [p.future for p in self.own_promises.values()
-                    if p.future is not None and not p.future.done()]
+        futures = [p.future for p in self.own_promises.values()
+                   if p.future is not None and not p.future.done()]
         futures += [f for _chunk, f in self.run_futures if not f.done()]
         return futures
 
     def all_futures(self) -> list[Future]:
-        futures = [f for _c, f in self.mat_futures]
-        futures += [p.future for p in self.own_promises.values()
-                    if p.future is not None]
+        futures = [p.future for p in self.own_promises.values()
+                   if p.future is not None]
         futures += [f for _chunk, f in self.run_futures]
         return futures
 
@@ -847,10 +840,10 @@ class _GridRun:
     """Shared context of one :func:`run_grid` call.
 
     The grid *consumer* of :func:`~repro.runner.executor.run_pipeline`:
-    plans each admitted batch (cache lookups, phase-0 submission) and
-    moves its :class:`_BatchState` through the three-phase stage
-    machine, sharing the optimum window, cross-batch solve promises and
-    in-flight materialization dedupe across the whole run.
+    plans each admitted batch (cache lookups, phase-1 submission) and
+    moves its :class:`_BatchState` through the two-phase stage
+    machine, sharing the optimum window and cross-batch solve promises
+    across the whole run.
     """
 
     def __init__(self, spec: GridSpec, config: EngineConfig, cache,
@@ -867,7 +860,6 @@ class _GridRun:
         self.force = config.force
         self.window = _RecordWindow()
         self.promises: dict[tuple, _Promise] = {}
-        self.materializing: dict[tuple, Future] = {}
         self.policy = RetryPolicy(max_retries=config.max_retries,
                                   backoff=config.retry_backoff)
         #: pool generation each in-flight future was submitted under
@@ -876,9 +868,6 @@ class _GridRun:
         #: across runs — the lease-queue worker reuses one RunStats —
         #: so the per-run bound needs its own counter)
         self.pool_restarts = 0
-        from .scenarios import get_scenario
-        self.storable = {name: get_scenario(name).storable
-                         for name in spec.scenarios}
 
     def _submit(self, fn, payload) -> Future:
         """Submit one chunk, recording the pool generation so a later
@@ -945,8 +934,8 @@ class _GridRun:
         return False
 
     def plan(self, batch: list) -> _BatchState:
-        """Admit one batch: cache lookups, then submit phase 0 (and,
-        via :meth:`advance`, everything that is already unblocked)."""
+        """Admit one batch: cache lookups, then submit its phase-1
+        solves (phase 2 follows via :meth:`advance`)."""
         st = _BatchState(self, batch)
         cache, force = self.cache, self.force
         for i, job in enumerate(batch):
@@ -982,29 +971,7 @@ class _GridRun:
                 st.to_solve.append(coords)
                 self.promises[coords] = st.own_promises[coords] = \
                     _Promise()
-        # Phase 0: materialize each distinct pending instance once
-        # (scenarios with dense payloads only).  Borrowed instances are
-        # the previous batch's responsibility, and a materialization an
-        # earlier in-flight batch already submitted is *waited on*, not
-        # re-submitted — overlap must not duplicate instance builds.
-        if self.store_root is not None:
-            store = InstanceStore(self.store_root)
-            missing = []
-            for coords in need:
-                if coords in st.borrowed or not self.storable[coords[0]]:
-                    continue
-                shared = self.materializing.get(coords)
-                if shared is not None:
-                    st.mat_borrowed.append(shared)
-                elif not store.has(coords):
-                    missing.append(coords)
-            for chunk in executor.chunk_list(missing, self.n_jobs,
-                                              self.chunk_jobs):
-                future = self._submit(instancestore._materialize_chunk,
-                                      (chunk, self.store_root))
-                st.mat_futures.append((chunk, future))
-                for coords in chunk:
-                    self.materializing[coords] = future
+        self.submit_solves(st)
         return st
 
     def submit_solves(self, st: _BatchState) -> None:
@@ -1032,28 +999,6 @@ class _GridRun:
     def advance(self, st: _BatchState) -> bool:
         """Move one batch through its stage machine; True on progress."""
         progressed = False
-        if st.stage == _MAT and all(
-                f.done() for _c, f in st.mat_futures) and all(
-                f.done() for f in st.mat_borrowed):
-            for chunk_coords, future in st.mat_futures:
-                try:
-                    self.stats.inst_materialized += sum(
-                        map(bool, future.result()))
-                except BrokenProcessPool:
-                    self._pool_failure(self.future_gen.get(future))
-                except Exception:
-                    # phase 0 is best-effort: a failed (or injected)
-                    # materialization only costs the mmap shortcut —
-                    # phases 1/2 rebuild the instance in-process
-                    pass
-                self.future_gen.pop(future, None)
-                for coords in chunk_coords:
-                    self.materializing.pop(coords, None)
-            st.mat_futures = []
-            st.mat_borrowed = []
-            self.submit_solves(st)
-            st.stage = _SOLVE
-            progressed = True
         if st.stage == _SOLVE:
             # account each solve chunk's envelope once (and resubmit
             # chunks a dead pool lost) before touching any promise
@@ -1180,7 +1125,7 @@ class _GridRun:
 def run_grid(spec: GridSpec, config: EngineConfig | None = None, *,
              stats: RunStats | None = None,
              job_slice: tuple[int, int] | None = None):
-    """Stream every job of a grid through the pipelined three-phase
+    """Stream every job of a grid through the pipelined two-phase
     engine.
 
     Execution is configured by an :class:`EngineConfig` (``None`` runs
@@ -1200,9 +1145,9 @@ def run_grid(spec: GridSpec, config: EngineConfig | None = None, *,
     pool (:func:`~repro.runner.executor.run_pipeline` — the scheduling
     loop shared with ``analysis/sweep`` and the lease-queue worker):
     up to ``pipeline_depth`` batches are in flight, so batch N+1's
-    phase-0 materializations and phase-1 solves are submitted while
-    batch N's phase-2 chunks still run — the pool stays saturated end
-    to end instead of idling at three serial barriers per batch.  Phase
+    phase-1 solves are submitted while batch N's phase-2 chunks still
+    run — the pool stays saturated end to end instead of idling at two
+    serial barriers per batch.  Phase
     dispatch is *fused*: ``chunk_jobs`` jobs ride one worker round-trip
     (``None`` auto-sizes, ``1`` disables fusion), and LCP-family jobs
     sharing an instance are replayed from one shared work-function
@@ -1216,10 +1161,10 @@ def run_grid(spec: GridSpec, config: EngineConfig | None = None, *,
     seen before, and a grid killed mid-run resumes paying only the
     unfinished jobs.  ``cache_dir`` may also be a ready-made
     :class:`JobCache` (e.g. one opened on the SQLite backend).  With
-    ``store_dir``, phase 0 materializes each distinct pending instance
-    into the shared :class:`~repro.runner.instancestore.InstanceStore`
-    exactly once; phases 1 and 2 then mmap the payloads instead of
-    rebuilding.
+    ``store_dir``, the process that first builds an instance writes its
+    payload through to the shared
+    :class:`~repro.runner.instancestore.InstanceStore`; every later
+    resolution mmaps the payload instead of rebuilding.
 
     ``job_slice=(start, stop)`` runs only that contiguous sub-range of
     the grid's job order — the seam the multi-host lease queue splits
@@ -1236,12 +1181,10 @@ def run_grid(spec: GridSpec, config: EngineConfig | None = None, *,
     ``rows_written``, ``overlapped_batches`` (batches admitted while an
     earlier batch still had unfinished worker tasks — 0 on the serial
     path, > 0 proves pipeline overlap), ``inflight_max`` (peak
-    simultaneously admitted batches), ``inst_materialized`` (instances
-    newly written to the store this call, wherever the build ran), plus
-    this process's instance-resolution deltas ``inst_builds`` (scenario
-    builds — with a store, at most one per distinct instance
-    end-to-end), ``inst_loads`` (store mmap loads) and
-    ``inst_memo_hits``.
+    simultaneously admitted batches), plus this process's
+    instance-resolution deltas ``inst_builds`` (scenario builds — with
+    a store, one per distinct instance whose optimum the run solves),
+    ``inst_loads`` (store mmap loads) and ``inst_memo_hits``.
     """
     config = as_config(config)
     cache = (config.cache_dir if isinstance(config.cache_dir, JobCache)
@@ -1284,7 +1227,6 @@ def run_grid(spec: GridSpec, config: EngineConfig | None = None, *,
                      stats=run_stats)
     finally:
         run.promises.clear()
-        run.materializing.clear()
         sink.close()
         if fault_plan is not None:
             faults.deactivate()

@@ -139,8 +139,6 @@ class RunStats:
     #: per-instance optimum cache hits / fresh solves (phase 1)
     opt_hits: int = 0
     opt_solved: int = 0
-    #: instances newly written to the store this run (phase 0)
-    inst_materialized: int = 0
     #: instance-resolution deltas (see ``instancestore.build_stats``)
     inst_builds: int = 0
     inst_loads: int = 0

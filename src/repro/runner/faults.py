@@ -13,7 +13,7 @@ Sites (each fired with a token the ``match`` substring selects on):
 ===============  ====================================================
 ``run_job``       one phase-2 algorithm job attempt (token: job coords)
 ``solve_instance``one phase-1 optimum solve attempt (token: coords)
-``materialize``   one phase-0 instance store write (token: coords)
+``materialize``   one instance store write (token: coords)
 ``cache_put``     one job/optimum cache write (token: cache key)
 ``sink_write``    one sink batch flush (token: sink class name)
 ``worker_exit``   one phase-2 chunk *start*, worker processes only —

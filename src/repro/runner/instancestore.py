@@ -1,12 +1,11 @@
-"""Shared materialized-instance store — phase 0 of the engine.
+"""Shared write-through instance store of the engine.
 
-Building a scenario instance means evaluating ``O(T m)`` Python-level
-cost functions; before this layer every engine worker re-paid that for
-every job (phase 1 *and* phase 2), so a grid with ``A`` algorithms
-tabulated the same ``(T, m+1)`` cost matrix ``A + 1`` times.  The store
-materializes each distinct ``(scenario, pipeline, T, inst_seed)``
-instance exactly once and persists its dense payload as content-addressed
-``.npy`` files:
+Without this layer every engine worker re-tabulated the ``(T, m+1)``
+cost matrix of a job's instance (phase 1 *and* phase 2), so a grid with
+``A`` algorithms built the same instance ``A + 1`` times.  The store
+persists each distinct ``(scenario, pipeline, T, inst_seed)`` instance's
+dense payload as content-addressed ``.npy`` files, written by the
+process that first builds it (:func:`get_instance`):
 
 * ``general`` — the ``F`` cost matrix (+ ``beta``);
 * ``restricted`` — the load trace and the masked feasible-cost table of
@@ -214,7 +213,7 @@ class InstanceStore:
             return None
 
     def materialize(self, coords: tuple) -> bool:
-        """Phase-0 step: build and persist ``coords`` unless present.
+        """Build and persist ``coords`` unless present (store set-up).
         Returns whether a payload was newly written (``False`` also for
         payload-free instances, e.g. adaptive games)."""
         if self.has(coords):
@@ -224,10 +223,13 @@ class InstanceStore:
         return self.put(coords, _build_coords(coords))
 
     def stats(self) -> dict:
-        """``{"entries", "bytes"}`` of the materialized payloads."""
+        """``{"entries", "bytes"}`` of the materialized payloads (the
+        ``*.tmp`` dir of a writer killed before its rename is not one)."""
         entries, size = 0, 0
         if self.root.is_dir():
             for meta in self.root.glob("*/*/meta.json"):
+                if meta.parent.suffix == ".tmp":
+                    continue
                 entries += 1
                 size += sum(p.stat().st_size
                             for p in meta.parent.iterdir())
@@ -236,38 +238,10 @@ class InstanceStore:
 
 def _build_coords(coords: tuple):
     """Build the scenario instance of normalized ``coords`` live."""
-    import json as _json
-
     from .scenarios import build_instance
     scenario, pipeline, T, inst_seed, params = split_coords(coords)
     return build_instance(scenario, T, inst_seed, pipeline=pipeline,
-                          params=_json.loads(params) if params else None)
-
-
-def _materialize_job(task: tuple) -> bool:
-    """Module-level phase-0 job for the process pool."""
-    coords, root = task
-    return InstanceStore(root).materialize(coords)
-
-
-def _materialize_chunk(task: tuple) -> list[bool]:
-    """Fused phase-0 job: materialize several instances in one worker
-    round-trip, reusing one :class:`InstanceStore` handle (the engine's
-    chunked dispatch amortizes pickle/IPC across the chunk).
-
-    Materialization is best-effort by contract — phases 1/2 rebuild any
-    instance the store lacks — so a failing (or fault-injected) item is
-    absorbed as ``False`` instead of aborting the chunk or, on the
-    ``n_jobs=1`` inline path, the grid."""
-    coords_list, root = task
-    store = InstanceStore(root)
-    written = []
-    for coords in coords_list:
-        try:
-            written.append(store.materialize(coords))
-        except Exception:
-            written.append(False)
-    return written
+                          params=json.loads(params) if params else None)
 
 
 # ----------------------------------------------------------------------
@@ -309,6 +283,15 @@ def get_instance(coords: tuple, store_root=None):
     :func:`build_stats` as ``inst_builds``).  The memo is bounded both
     by entry count and by resident bytes, so persistent pool workers
     don't pin large built instances after a grid finishes.
+
+    With a store, a build is *written through*: the payload is put
+    (best-effort; fault site ``materialize``) and its mmap view is
+    returned instead of the live build, so callers see one payload
+    whether they built or loaded.  An instance whose optimum the run
+    solves is thus built once, end to end.  One whose optimum is a
+    cache hit while its payload is missing (warm job cache, cold store)
+    may be built once per worker that runs its jobs; the atomic rename
+    still leaves one payload.
     """
     memo_key = (coords, None if store_root is None else str(store_root))
     hit = _MEMO.get(memo_key)
@@ -318,12 +301,21 @@ def get_instance(coords: tuple, store_root=None):
         return hit[0]
     inst = None
     if store_root is not None:
-        inst = InstanceStore(store_root).load(coords)
+        store = InstanceStore(store_root)
+        inst = store.load(coords)
         if inst is not None:
             _STATS["inst_loads"] += 1
     if inst is None:
         inst = _build_coords(coords)
         _STATS["inst_builds"] += 1
+        if store_root is not None:
+            try:
+                faults.fire("materialize",
+                            "|".join(str(c) for c in coords))
+                if store.put(coords, inst):
+                    inst = store.load(coords) or inst
+            except Exception:
+                pass  # the live build still serves this process
     if _MEMO_SIZE > 0:
         _MEMO[memo_key] = (inst, _resident_nbytes(inst))
         _evict_memo()

@@ -63,9 +63,7 @@ class Scenario:
     ``params`` are the optional keyword knobs of a grid's ``params``
     axis (e.g. the adversary slope ``eps``, the case study's ``beta``);
     builders declare them with defaults so the scenario also builds with
-    no parameters.  ``storable=False`` marks scenarios whose instances
-    have no dense payload (adaptive games) so the engine skips phase-0
-    materialization for them.
+    no parameters.
     """
 
     name: str
@@ -75,7 +73,6 @@ class Scenario:
     build_restricted: Callable | None = None
     build_hetero: Callable | None = None
     build_game: Callable | None = None
-    storable: bool = True
 
     @property
     def pipelines(self) -> tuple[str, ...]:
@@ -324,13 +321,13 @@ for _sc in (
              build_hetero=_build_hetero_fleet),
     Scenario("lb-deterministic", None, ("game", "adversarial"),
              "Theorem 4 two-state game vs integral algorithms (-> 3)",
-             build_game=_build_lb_deterministic, storable=False),
+             build_game=_build_lb_deterministic),
     Scenario("lb-continuous", None, ("game", "adversarial"),
              "Theorem 6/8 fractional game (B-simulating adversary, -> 2)",
-             build_game=_build_lb_continuous, storable=False),
+             build_game=_build_lb_continuous),
     Scenario("lb-restricted", None, ("game", "adversarial"),
              "Theorem 5/9 game embedded in the restricted model (-> 3)",
-             build_game=_build_lb_restricted, storable=False),
+             build_game=_build_lb_restricted),
     Scenario("sim-diurnal", None, ("game", "simulator"),
              "E13 rollout: Poisson jobs on a diurnal rate curve, "
              "policies replayed through the simulator",

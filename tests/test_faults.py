@@ -14,12 +14,12 @@ import json
 import pytest
 
 from repro.runner import (EngineConfig, FaultPlan, FaultSpec,
-                          InjectedFault, JobCache, MergeError, RunStats,
-                          failed_jobs, merge_results, retry_failed,
-                          run_grid, work)
+                          InjectedFault, InstanceStore, JobCache,
+                          MergeError, RunStats, failed_jobs, merge_results,
+                          retry_failed, run_grid, work)
 from repro.runner.engine import GridSpec
 from repro.runner import engine as engine_mod
-from repro.runner import faults
+from repro.runner import faults, instancestore
 from repro.runner.leasequeue import LeaseQueue
 from repro.runner.sinks import read_jsonl_rows
 
@@ -243,12 +243,17 @@ class TestInfrastructureFaults:
 
     def test_materialize_failure_absorbed(self, tmp_path):
         clean = run_grid(GRID)
+        store = InstanceStore(tmp_path / "store")
         rows = run_grid(GRID, EngineConfig(
-            store_dir=tmp_path / "store",
+            store_dir=store.root,
             fault_plan=plan_of(
                 FaultSpec(site="materialize", nth=None)),
             **FAST))
-        assert rows == clean  # phases 1/2 rebuilt in-process
+        assert rows == clean  # the live builds served phases 1/2
+        assert store.stats()["entries"] == 0  # every write was faulted
+        instancestore.clear_memo()
+        assert run_grid(GRID, EngineConfig(store_dir=store.root)) == clean
+        assert store.stats()["entries"] == 2  # one per distinct instance
 
     def test_sink_write_failure_stays_fatal(self):
         with pytest.raises(InjectedFault):

@@ -86,6 +86,20 @@ class TestStorePayloads:
         info = store.stats()
         assert info["entries"] == 1 and info["bytes"] > 0
 
+    def test_stats_skip_orphaned_temp_dirs(self, tmp_path):
+        """A writer killed between ``meta.json`` and its rename leaves
+        ``<key>.<pid>.tmp/``; that orphan is not a payload."""
+        store = InstanceStore(tmp_path)
+        coords = ("diurnal", "general", 8, 0)
+        store.put(coords, build_instance("diurnal", 8, 0))
+        clean = store.stats()
+        target = store.dir(coords)
+        orphan = target.with_name(f"{target.name}.12345.tmp")
+        orphan.mkdir()
+        (orphan / "meta.json").write_text("{}")
+        assert store.stats() == clean
+        assert clean["entries"] == 1
+
     def test_store_keys_distinct_per_coordinate(self):
         keys = {store_key(("diurnal", "general", T, s))
                 for T in (8, 16) for s in (0, 1)}
@@ -156,16 +170,39 @@ class TestRunGridWithStore:
         stats = RunStats()
         run_grid(GRID, EngineConfig(store_dir=tmp_path), stats=stats)
         # 2 scenarios x 2 seeds = 4 distinct instances; 12 jobs
-        assert stats["inst_materialized"] == 4
+        assert InstanceStore(tmp_path).stats()["entries"] == 4
         assert stats["inst_builds"] == 4
-        assert stats["inst_loads"] == 4   # phase 1 mmap-loads each once
+        assert stats["inst_loads"] == 0   # phase 2 hits the memo
         # a second run (fresh memo) never builds again
         instancestore.clear_memo()
         stats2 = RunStats()
         run_grid(GRID, EngineConfig(store_dir=tmp_path), stats=stats2)
-        assert stats2["inst_materialized"] == 0
+        assert InstanceStore(tmp_path).stats()["entries"] == 4
         assert stats2["inst_builds"] == 0
         assert stats2["inst_loads"] == 4
+
+    def test_restricted_table_built_once_per_instance(self, tmp_path,
+                                                      monkeypatch):
+        """The write-through hands later phases the stored view, so the
+        masked cost table of a live restricted instance is computed
+        once per instance — inside ``put`` — not again by the solve."""
+        import repro.offline.restricted as restricted_mod
+        live_calls = []
+        real = restricted_mod.restricted_cost_matrix
+
+        def counting(ri):
+            if getattr(ri, "costs", None) is None:
+                live_calls.append((ri.T, ri.m))
+            return real(ri)
+
+        monkeypatch.setattr(restricted_mod, "restricted_cost_matrix",
+                            counting)
+        spec = GridSpec(scenarios=("restricted-diurnal",),
+                        algorithms=("restricted", "lcp"),
+                        seeds=(0, 1), sizes=(16,))
+        rows = run_grid(spec, EngineConfig(n_jobs=1, store_dir=tmp_path))
+        assert all(r.get("status") != "failed" for r in rows)
+        assert len(live_calls) == 2  # one per distinct restricted instance
 
     def test_store_with_cache_and_parallel(self, tmp_path):
         cache = tmp_path / "cache"

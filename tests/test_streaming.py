@@ -6,10 +6,10 @@ import json
 import numpy as np
 import pytest
 
-from repro.runner import (EngineConfig, GridSpec, JobCache, JsonlSink,
-                          ListSink, RunStats, SqliteSink, aggregate_rows,
-                          make_sink, read_jsonl_rows, read_sqlite_rows,
-                          run_grid)
+from repro.runner import (EngineConfig, GridSpec, InstanceStore, JobCache,
+                          JsonlSink, ListSink, RunStats, SqliteSink,
+                          aggregate_rows, make_sink, read_jsonl_rows,
+                          read_sqlite_rows, run_grid)
 from repro.runner import engine as engine_mod
 
 GRID = GridSpec(scenarios=("diurnal", "sawtooth"),
@@ -278,23 +278,20 @@ class TestGamePipeline:
     def test_adaptive_games_not_materialized(self, tmp_path):
         """lb-* scenarios have no dense payload: a store_dir grid must
         not try (and fail) to materialize them."""
-        stats = RunStats()
-        rows = run_grid(GAME_GRID, EngineConfig(store_dir=tmp_path),
-                        stats=stats)
+        rows = run_grid(GAME_GRID, EngineConfig(store_dir=tmp_path))
         assert len(rows) == 2
-        assert stats["inst_materialized"] == 0
+        assert InstanceStore(tmp_path).stats()["entries"] == 0
 
     def test_sim_games_materialize_and_reload(self, tmp_path):
         spec = GridSpec(scenarios=("sim-diurnal",),
                         algorithms=("sim-lcp",), seeds=(0,), sizes=(48,))
-        stats1 = RunStats()
-        rows1 = run_grid(spec, EngineConfig(store_dir=tmp_path), stats=stats1)
-        assert stats1["inst_materialized"] == 1
+        rows1 = run_grid(spec, EngineConfig(store_dir=tmp_path))
+        assert InstanceStore(tmp_path).stats()["entries"] == 1
         from repro.runner.instancestore import clear_memo
         clear_memo()
         stats2 = RunStats()
         rows2 = run_grid(spec, EngineConfig(store_dir=tmp_path), stats=stats2)
-        assert stats2["inst_materialized"] == 0
+        assert InstanceStore(tmp_path).stats()["entries"] == 1
         assert stats2["inst_builds"] == 0  # reloaded via mmap, not rebuilt
         assert rows1 == rows2
 
