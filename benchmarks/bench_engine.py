@@ -8,28 +8,23 @@ grid at several horizons, under five execution variants:
   cost matrix (what PR 2 shipped);
 * ``mmap_store`` — a warm-up run has written the instance store; jobs
   reopen the payload read-only via mmap (memo cleared between runs, so
-  the measurement is load-from-store, not load-from-memory), with
-  fusion disabled (``chunk_jobs=1``) — the PR 3 steady state;
+  the measurement is load-from-store, not load-from-memory) — the
+  PR 3 steady state;
 * ``pipelined``  — the store plus double-buffered batches
   (``pipeline_depth=2``): batch N+1's phase-1 solves are submitted
   while batch N's phase 2 runs (with ``n_jobs=1`` this isolates the pipeline
   machinery's overhead — it must not lose to ``mmap_store``);
-* ``fused``      — ``pipelined`` plus fused chunk dispatch: several
-  jobs per worker round-trip, and LCP-family jobs on one instance
-  replayed from a single shared work-function sweep;
 * ``warm_cache`` — every row is served from the per-job result cache
   (the incremental-grid steady state);
-* ``kernel``     — ``fused`` with the vectorized work-function kernels
-  (``REPRO_KERNEL=vector``): whole-table sweeps, whole-trajectory
-  replay fast paths, and one memoized sweep per instance shared by the
-  phase-1 optimum, the LCP family and the backward solver;
-* ``kernel_unfused`` — the vectorized kernels under per-job dispatch
-  (``chunk_jobs=1``), isolating the kernels' contribution from chunk
-  fusion (the per-process sweep memo still deduplicates sweeps).
+* ``kernel``     — ``pipelined`` with the vectorized work-function
+  kernels (``REPRO_KERNEL=vector``): whole-table sweeps,
+  whole-trajectory replay fast paths, and one memoized sweep per
+  instance shared by the phase-1 optimum, the LCP family and the
+  backward solver.
 
-The legacy variants are pinned to ``REPRO_KERNEL=scalar`` so they keep
+The other variants are pinned to ``REPRO_KERNEL=scalar`` so they keep
 measuring the historical per-step code paths (and stay comparable
-across runs); the ``kernel*`` variants measure the vectorized paths.
+across runs); ``kernel`` measures the vectorized paths.
 Every variant must produce bit-identical rows.
 
 The report also carries a ``restricted_solver`` section timing
@@ -60,12 +55,9 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent
                        / "src"))
 
 DEFAULT_SIZES = (1_000, 10_000, 100_000)
-#: lcp and eager-lcp lead so they share a batch (and therefore one
-#: work-function sweep) under the ``fused`` variant's chunking
 DEFAULT_ALGORITHMS = ("lcp", "eager-lcp", "threshold", "memoryless",
                       "followmin", "never-off")
-VARIANTS = ("rebuild", "mmap_store", "pipelined", "fused", "warm_cache",
-            "kernel", "kernel_unfused")
+VARIANTS = ("rebuild", "mmap_store", "pipelined", "warm_cache", "kernel")
 
 
 def _run_variant(spec, variant: str, workdir: pathlib.Path,
@@ -76,27 +68,19 @@ def _run_variant(spec, variant: str, workdir: pathlib.Path,
     from repro.runner import instancestore
     store_dir = workdir / "store"
     cache_dir = workdir / "cache"
-    # chunk_jobs=1 pins the historical per-job dispatch so the legacy
-    # variants keep measuring what they always measured
-    kwargs: dict = {"chunk_jobs": 1}
+    kwargs: dict = {}
     previous = None
     batch_size = max(1, len(spec) // 3)
     if variant == "rebuild":
         previous = instancestore.set_memo_size(0)
     elif variant == "mmap_store":
         kwargs["store_dir"] = store_dir
-    elif variant == "pipelined":
-        kwargs.update(store_dir=store_dir, batch_size=batch_size,
-                      pipeline_depth=2)
-    elif variant in ("fused", "kernel"):
-        kwargs.update(store_dir=store_dir, batch_size=batch_size,
-                      pipeline_depth=2, chunk_jobs=None)
-    elif variant == "kernel_unfused":
+    elif variant in ("pipelined", "kernel"):
         kwargs.update(store_dir=store_dir, batch_size=batch_size,
                       pipeline_depth=2)
     else:
         kwargs["cache_dir"] = cache_dir
-    kernel = "vector" if variant.startswith("kernel") else "scalar"
+    kernel = "vector" if variant == "kernel" else "scalar"
     best = None
     try:
         with kernels.use(kernel):
@@ -172,19 +156,15 @@ def bench_engine(sizes=DEFAULT_SIZES, algorithms=DEFAULT_ALGORITHMS,
     speedup = {str(T): round(by[(T, "mmap_store")]["jobs_per_sec"]
                              / by[(T, "rebuild")]["jobs_per_sec"], 3)
                for T in sizes}
-    speedup_fused = {str(T): round(by[(T, "fused")]["jobs_per_sec"]
-                                   / by[(T, "mmap_store")]["jobs_per_sec"],
-                                   3)
-                     for T in sizes}
     speedup_kernel = {str(T): round(by[(T, "kernel")]["jobs_per_sec"]
-                                    / by[(T, "fused")]["jobs_per_sec"], 3)
+                                    / by[(T, "pipelined")]["jobs_per_sec"],
+                                    3)
                       for T in sizes}
-    return {"bench": "engine_throughput", "version": 5,
+    return {"bench": "engine_throughput", "version": 6,
             "scenario": scenario, "algorithms": list(algorithms),
             "n_jobs": n_jobs, "results": results,
             "speedup_store_vs_rebuild": speedup,
-            "speedup_fused_vs_store": speedup_fused,
-            "speedup_kernel_vs_fused": speedup_kernel,
+            "speedup_kernel_vs_pipelined": speedup_kernel,
             "restricted_solver": bench_restricted(sizes)}
 
 
@@ -242,8 +222,8 @@ def main(argv=None) -> int:
               f"({row['seconds']:.2f}s, builds={row['inst_builds']})")
     print("speedup store vs rebuild:",
           report["speedup_store_vs_rebuild"])
-    print("speedup kernel vs fused:",
-          report["speedup_kernel_vs_fused"])
+    print("speedup kernel vs pipelined:",
+          report["speedup_kernel_vs_pipelined"])
     print("restricted solver:", report["restricted_solver"])
     print(f"wrote {args.out}")
     return 0

@@ -30,9 +30,7 @@ VARIANT_LABELS = {
     "rebuild": "per-job instance rebuild (PR 2)",
     "mmap_store": "mmap instance store (PR 3)",
     "pipelined": "+ double-buffered batches (PR 5)",
-    "fused": "+ fused chunks, shared sweep (PR 5)",
-    "kernel_unfused": "vectorized kernels, per-job dispatch (PR 6)",
-    "kernel": "vectorized kernels + fused chunks (PR 6)",
+    "kernel": "+ vectorized kernels, memoized sweep (PR 6)",
     "warm_cache": "warm per-job result cache",
 }
 
@@ -52,13 +50,13 @@ def render_table(report: dict) -> str:
                  if (v, T) in rows else "—" for T in sizes]
         lines.append(f"| {VARIANT_LABELS[v]} | " + " | ".join(cells)
                      + " |")
-    speedup = report.get("speedup_kernel_vs_fused", {})
+    speedup = report.get("speedup_kernel_vs_pipelined", {})
     if speedup:
         per_t = ", ".join(f"{s}x at T={int(T):,}"
                           for T, s in sorted(speedup.items(),
                                              key=lambda kv: int(kv[0])))
         lines += ["",
-                  f"Vectorized kernels vs the fused scalar baseline: "
+                  f"Vectorized kernels vs the pipelined scalar baseline: "
                   f"{per_t} (jobs/sec, single worker, best of 3; "
                   f"scenario `{report['scenario']}`, "
                   f"{len(report['algorithms'])} algorithms)."]

@@ -163,10 +163,10 @@ def sweep(fn: Callable[..., Mapping], grid: Mapping[str, Sequence],
     pipelines* — on the same shared scheduling loop
     (:func:`repro.runner.executor.run_pipeline`): points run in bounded
     batches of ``batch_size`` (``None`` = one batch) dispatched as
-    fused chunks of ``chunk_jobs`` (``None`` auto-sizes), up to
-    ``pipeline_depth`` batches stay in flight on the pool, and rows
-    flow into a :mod:`repro.runner.sinks` ``sink`` — always in
-    grid-product order — as each batch finishes.  The default
+    auto-sized fused chunks, up to ``pipeline_depth`` batches stay in
+    flight on the pool, and rows flow into a :mod:`repro.runner.sinks`
+    ``sink`` — always in grid-product order — as each batch finishes.
+    The default
     ``sink=None`` collects and returns the historical ``list[dict]``;
     a file-backed sink keeps parent memory at O(depth x batch) and
     ``sweep`` returns ``sink.result()``.
@@ -201,8 +201,7 @@ def sweep(fn: Callable[..., Mapping], grid: Mapping[str, Sequence],
             (chunk, executor.submit_task(_EvalChunk(fn),
                                          [p for _, p, _ in chunk],
                                          config.n_jobs))
-            for chunk in executor.chunk_list(pending, config.n_jobs,
-                                             config.chunk_jobs)]
+            for chunk in executor.chunk_list(pending, config.n_jobs)]
         st = _SweepBatch(cache, sink, batch, futures)
         for i, cached in results_known:
             st.results[i] = cached

@@ -9,9 +9,9 @@ Subcommands, mirroring the library's pillars:
 * ``repro sweep``     — batch (scenario x algorithm x seed x size x
   params) grids through the pipelined engine, with caching,
   bounded-memory batches (``--batch-size``), double-buffering
-  (``--pipeline-depth``), fused dispatch (``--chunk-jobs``), pluggable
-  result sinks (``--sink jsonl/sqlite``) and param-aware ratio
-  aggregation (``--params``, ``--group-by``).
+  (``--pipeline-depth``), pluggable result sinks (``--sink
+  jsonl/sqlite``) and param-aware ratio aggregation (``--params``,
+  ``--group-by``).
 * ``repro bench``     — predefined engine grids with wall-clock timing.
 * ``repro lowerbound`` — the Section 5 adversarial games as
   `game`-pipeline engine grids; prints the ratio-vs-eps curves.
@@ -191,12 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "are built and solved while batch N's "
                              "algorithm jobs still run (1 = barrier "
                              "per batch)")
-        sp.add_argument("--chunk-jobs", type=int, default=None,
-                        metavar="K",
-                        help="fuse K jobs per worker round-trip "
-                             "(amortizes IPC; LCP-family jobs on one "
-                             "instance share a work-function sweep); "
-                             "default auto-sizes, 1 disables fusion")
         sp.add_argument("--max-retries", type=int, default=2,
                         metavar="R",
                         help="per-job retries (exponential backoff) "
@@ -570,7 +564,6 @@ def _make_cli_config(args, sink=None):
                         force=args.force, sink=sink,
                         batch_size=args.batch_size,
                         pipeline_depth=args.pipeline_depth,
-                        chunk_jobs=args.chunk_jobs,
                         max_retries=getattr(args, "max_retries", 2))
 
 

@@ -25,8 +25,8 @@ restoring the pre-kernel per-step code paths end to end.
 
 A small per-process memo (:func:`cached_sweep`, sized by the
 ``REPRO_SWEEP_MEMO`` environment variable, default 16) lets the
-engine's phase-1 optimum computation and phase-2 shared replay reuse
-one sweep per instance; :func:`sweep_stats` exposes monotonic per-
+engine's phase-1 optimum computation and every phase-2 LCP-family job
+reuse one sweep per instance; :func:`sweep_stats` exposes monotonic per-
 process hit/miss counters and :func:`clear_sweep_cache` drops the memo
 for benchmark hygiene.
 """

@@ -3,8 +3,7 @@ threshold rule + randomized rounding (Section 4), algorithm B (Section 5),
 and baselines."""
 
 from .bansal_b import AlgorithmB
-from .base import (OnlineAlgorithm, OnlineResult, run_online,
-                   run_online_many)
+from .base import OnlineAlgorithm, OnlineResult, run_online
 from .greedy import FollowTheMinimizer, NeverSwitchOn, solve_static
 from .lcp import LCP, EagerLCP, lookahead_bounds
 from .memoryless import MemorylessBalance
@@ -18,7 +17,6 @@ from .workfunction import WorkFunctions, update_CL, update_CU
 
 __all__ = [
     "OnlineAlgorithm", "OnlineResult", "run_online",
-    "run_online_many",
     "WorkFunctions", "update_CL", "update_CU",
     "LCP", "EagerLCP", "lookahead_bounds",
     "ThresholdFractional", "AlgorithmB",

@@ -20,8 +20,7 @@ from .. import kernels
 from ..core.instance import Instance
 from ..core.schedule import cost as schedule_cost
 
-__all__ = ["OnlineAlgorithm", "OnlineResult", "run_online",
-           "run_online_many"]
+__all__ = ["OnlineAlgorithm", "OnlineResult", "run_online"]
 
 
 class OnlineAlgorithm:
@@ -37,7 +36,8 @@ class OnlineAlgorithm:
     bounds ``(x^L_tau, x^U_tau)`` (plus their own previous state), so a
     single ``O(T m)`` :class:`~repro.online.workfunction.WorkFunctions`
     sweep can serve every such algorithm replayed on the same instance
-    (:func:`run_online_many`).
+    (the engine hands each one the per-instance memo,
+    :func:`repro.kernels.cached_sweep`).
     """
 
     name: str = "online"
@@ -195,39 +195,34 @@ def _fast_trajectory(instance: Instance, algorithm: OnlineAlgorithm,
     return _checked_schedule(algorithm, xs, instance.m)
 
 
-def _replay_loop(instance: Instance, algorithms, outs) -> None:
-    """The per-step reference replay (shared work-function sweep).
+def _replay_loop(instance: Instance, algorithm: OnlineAlgorithm,
+                 out: np.ndarray) -> None:
+    """The per-step reference replay into the preallocated ``out``.
 
-    Fills one preallocated schedule array per algorithm.  Algorithms
-    must already be reset; consumers share a single
-    :class:`~repro.online.workfunction.WorkFunctions` maintenance, with
-    window-extended bounds computed once per distinct window length per
-    step.
+    The algorithm must already be reset.  A bounds consumer reads
+    ``(x^L_t, x^U_t)`` from one incremental
+    :class:`~repro.online.workfunction.WorkFunctions` maintenance
+    (window-extended when it has a prediction window).
     """
     T, m = instance.T, instance.m
     wf = None
-    if any(a.consumes_bounds for a in algorithms):
+    if algorithm.consumes_bounds:
         from .lcp import lookahead_bounds
         from .workfunction import WorkFunctions
         wf = WorkFunctions(m, instance.beta)
+    w = algorithm.lookahead
     for t in range(T):
         f_row = instance.F[t]
+        future = instance.F[t + 1:t + 1 + w] if w > 0 else None
         if wf is not None:
             wf.update(f_row)
-        bounds: dict[int, tuple[int, int]] = {}
-        for algorithm, out in zip(algorithms, outs):
-            w = algorithm.lookahead
-            future = instance.F[t + 1:t + 1 + w] if w > 0 else None
-            if algorithm.consumes_bounds:
-                eff = (w if w > 0 and future is not None
-                       and future.shape[0] > 0 else 0)
-                if eff not in bounds:
-                    bounds[eff] = (lookahead_bounds(wf, future) if eff
-                                   else wf.bounds())
-                x = algorithm.step_bounds(*bounds[eff])
-            else:
-                x = algorithm.step(f_row, future)
-            out[t] = _checked_state(algorithm, x, t, m)
+            x = algorithm.step_bounds(
+                *(lookahead_bounds(wf, future)
+                  if future is not None and future.shape[0] > 0
+                  else wf.bounds()))
+        else:
+            x = algorithm.step(f_row, future)
+        out[t] = _checked_state(algorithm, x, t, m)
 
 
 def run_online(instance: Instance, algorithm: OnlineAlgorithm, *,
@@ -255,56 +250,5 @@ def run_online(instance: Instance, algorithm: OnlineAlgorithm, *,
         if xs is not None:
             return _priced(instance, algorithm, xs)
     xs = np.empty(T, dtype=np.float64 if algorithm.fractional else np.int64)
-    _replay_loop(instance, [algorithm], [xs])
+    _replay_loop(instance, algorithm, xs)
     return _priced(instance, algorithm, xs)
-
-
-def run_online_many(instance: Instance, algorithms, *,
-                    bounds=None) -> list[OnlineResult]:
-    """Replay several online algorithms over one instance in one pass.
-
-    Algorithms with :attr:`OnlineAlgorithm.consumes_bounds` (the LCP
-    family) share a single work-function sweep: the ``O(T m)``
-    maintenance of ``hat-C^L_tau`` — the dominant kernel of the
-    Section 3 discrete algorithms — is paid once per *instance* instead
-    of once per *job*, and each consumer commits its steps from the
-    same ``(x^L, x^U)`` trajectory.  Under a vectorized kernel the
-    sweep is one whole-table kernel call (or the precomputed ``bounds``
-    handed in by the engine) and other algorithms may take their
-    :meth:`OnlineAlgorithm.run_table` fast path; everything else —
-    including every algorithm when ``REPRO_KERNEL=scalar`` — is stepped
-    in the per-step reference loop.  Algorithms with a prediction
-    window get the window-extended bounds, computed once per distinct
-    window length per step.
-
-    Results are bit-identical to replaying each algorithm through
-    :func:`run_online` separately: the bounds are deterministic
-    functions of the revealed prefix, and validation and pricing are
-    shared code paths.
-    """
-    algorithms = list(algorithms)
-    if not algorithms:
-        return []
-    T, m = instance.T, instance.m
-    for algorithm in algorithms:
-        algorithm.reset(m, instance.beta)
-    xs = [np.empty(T, dtype=np.float64 if a.fractional else np.int64)
-          for a in algorithms]
-    slow_idx = list(range(len(algorithms)))
-    if kernels.is_vectorized():
-        slow_idx = []
-        for i, algorithm in enumerate(algorithms):
-            if (bounds is None and algorithm.consumes_bounds
-                    and algorithm.lookahead == 0):
-                bounds = kernels.sweep_workfunction(instance.F,
-                                                    instance.beta)
-            fast = _fast_trajectory(instance, algorithm, bounds)
-            if fast is None:
-                slow_idx.append(i)
-            else:
-                xs[i] = fast
-    if slow_idx:
-        _replay_loop(instance, [algorithms[i] for i in slow_idx],
-                     [xs[i] for i in slow_idx])
-    return [_priced(instance, algorithm, x)
-            for algorithm, x in zip(algorithms, xs)]

@@ -113,7 +113,7 @@ class LCP(OnlineAlgorithm):
         return self.step_bounds(lo, hi)
 
     def step_bounds(self, lo: int, hi: int) -> int:
-        """Eq. (13) from precomputed bounds (the shared-replay entry)."""
+        """Eq. (13) from precomputed bounds (the bounds-replay entry)."""
         if self._record:
             self.bounds_log.append((lo, hi))
         x = max(lo, min(hi, self.state))

@@ -20,12 +20,13 @@ in-process or on a persistent process pool with fused chunking:
   every other grid sharing the store) reopens it read-only via ``mmap``
   instead of re-tabulating cost matrices.  Even without a store, a
   per-process memo guarantees no process builds the same instance twice.
-* **Phase 2 — algorithms.**  Algorithm jobs fan out in *fused chunks*
-  (``chunk_jobs`` jobs per worker round-trip, amortizing pickle/IPC),
-  each reusing its instance's hoisted optimum; jobs of one instance
-  whose algorithms consume work-function bounds (the LCP family) are
-  replayed together from one shared ``O(T m)`` sweep
-  (:func:`repro.online.base.run_online_many`).  A batch's rows are
+* **Phase 2 — algorithms.**  Algorithm jobs fan out in auto-sized
+  chunks (several jobs per worker round-trip, amortizing pickle/IPC),
+  each job reusing its instance's hoisted optimum; jobs whose
+  algorithms consume work-function bounds (the LCP family and
+  ``backward_lcp``) read the one ``O(T m)`` sweep per instance from
+  the per-process memo phase 1 filled
+  (:func:`repro.kernels.cached_sweep`).  A batch's rows are
   flushed to the sink — in job order — as soon as the batch completes
   *and* every earlier batch has flushed, and each job's row is written
   to the per-job cache the moment its chunk finishes — so a killed grid
@@ -278,7 +279,7 @@ def _solve_instance(task: tuple) -> dict:
     if pipeline == "general":
         if kernels.is_vectorized():
             # One memoized kernel sweep serves this optimum *and* the
-            # phase-2 shared replay / backward solver on the same
+            # phase-2 LCP replays / backward solver on the same
             # instance (the final work-function row's minimum is the
             # Section 2 DP optimum, bit-identically — the recurrences
             # are the same ufunc sequence; see docs/KERNELS.md).
@@ -330,18 +331,6 @@ def _base_row(job: tuple, spec, inst_record: dict) -> dict:
     return row
 
 
-def _online_row(job: tuple, spec, inst_record: dict, cost: float) -> dict:
-    """Assemble one cost-vs-optimum result row (shared by the per-job
-    and the shared-replay paths — online jobs and extras-free offline
-    sharers alike — so both produce byte-identical rows)."""
-    opt = inst_record["opt"]
-    return {
-        **_base_row(job, spec, inst_record),
-        "cost": float(cost), "opt": float(opt),
-        "ratio": float(cost / opt) if opt > 0 else float("inf"),
-    }
-
-
 def _run_job(task: tuple) -> dict:
     """Phase-2 job: run one algorithm against its hoisted optimum.
 
@@ -387,8 +376,8 @@ def _run_job(task: tuple) -> dict:
             # reuse (or seed) the per-process sweep memo phase 1 filled
             bounds = kernels.cached_sweep(_instance_coords(job),
                                           inst.F, inst.beta)
-        return _online_row(job, spec, inst_record,
-                           run_online(inst, alg, bounds=bounds).cost)
+        cost, opt = (run_online(inst, alg, bounds=bounds).cost,
+                     inst_record["opt"])
     elif spec.shares_workfunction and kernels.is_vectorized():
         # offline sweep sharer (backward_lcp): hand it the memoized
         # per-instance bound trajectory instead of a fresh sweep
@@ -404,69 +393,6 @@ def _run_job(task: tuple) -> dict:
         "ratio": float(cost / opt) if opt > 0 else float("inf"),
         **extras,
     }
-
-
-# ----------------------------------------------------------------------
-# Fused multi-job tasks: one worker round-trip executes a whole chunk,
-# amortizing pickle/IPC, and co-scheduled LCP-family jobs on the same
-# instance share a single work-function sweep.
-# ----------------------------------------------------------------------
-
-
-def _sharing_coords(job: tuple):
-    """The instance coordinates a job can share a work-function sweep
-    on, or ``None`` when its algorithm keeps per-job state.
-
-    Sharers are the general-pipeline entries flagged
-    ``shares_workfunction`` in the registry: the online LCP family
-    (bound consumers) and the offline ``backward_lcp`` solver, whose
-    Lemma 11 forward pass is the same sweep.
-    """
-    from .registry import get_spec
-    spec = get_spec(job[1])
-    if spec.pipeline == "general" and spec.shares_workfunction:
-        return _instance_coords(job)
-    return None
-
-
-def _run_shared(tasks: list[tuple]) -> list[dict]:
-    """Serve several sweep-sharing jobs on one instance from a single
-    ``O(T m)`` work-function sweep — bit-identical to running each
-    through :func:`_run_job` (asserted by the test suite).
-
-    Online consumers replay through
-    :func:`~repro.online.base.run_online_many`; offline sharers (the
-    ``backward_lcp`` solver) receive the same bound trajectory via
-    their ``bounds=`` parameter.  Under the vectorized kernel the
-    trajectory comes from the per-process memo phase 1 already filled;
-    under the scalar reference each path keeps its own per-step sweep.
-    """
-    from .registry import get_spec
-    from ..online.base import run_online_many
-    job0, _rec0, store_root = tasks[0]
-    coords = _instance_coords(job0)
-    inst = get_instance(coords, store_root)
-    bounds = (kernels.cached_sweep(coords, inst.F, inst.beta)
-              if kernels.is_vectorized() else None)
-    rows: list = [None] * len(tasks)
-    online_idx = [i for i, (job, _rec, _root) in enumerate(tasks)
-                  if get_spec(job[1]).kind == "online"]
-    if online_idx:
-        algorithms = [get_spec(tasks[i][0][1]).make(
-            lookahead=tasks[i][0][5], seed=_job_seed(tasks[i][0]))
-            for i in online_idx]
-        results = run_online_many(inst, algorithms, bounds=bounds)
-        for i, res in zip(online_idx, results):
-            job, rec, _root = tasks[i]
-            rows[i] = _online_row(job, get_spec(job[1]), rec, res.cost)
-    for i, (job, rec, _root) in enumerate(tasks):
-        if rows[i] is not None:
-            continue
-        solver = get_spec(job[1]).make()
-        out = (solver(inst, bounds=bounds) if bounds is not None
-               else solver(inst))
-        rows[i] = _online_row(job, get_spec(job[1]), rec, out.cost)
-    return rows
 
 
 # ----------------------------------------------------------------------
@@ -564,45 +490,10 @@ def _solve_chunk_retry(task: tuple) -> dict:
 
 def _attempt_items(tasks, idxs, rows, done, errors) -> None:
     """Execute the chunk items ``idxs`` once, capturing per-item
-    failures.  Sweep-sharing groups still replay together; a failure
-    inside a shared replay degrades that group to per-item execution,
-    so one poison job cannot fail its co-scheduled siblings."""
-    groups: dict[tuple, list[int]] = {}
-    solo: list[int] = []
+    failures so one poison job cannot fail its chunk siblings."""
     for i in idxs:
-        coords = _sharing_coords(tasks[i][0])
-        if coords is not None:
-            groups.setdefault(coords, []).append(i)
-        else:
-            solo.append(i)
-    fired: set[int] = set()
-    for gidxs in groups.values():
-        if len(gidxs) < 2:
-            solo.extend(gidxs)
-            continue
-        ok = []
-        for i in gidxs:
-            fired.add(i)
-            try:
-                faults.fire("run_job", _job_token(tasks[i][0]))
-                ok.append(i)
-            except Exception as exc:
-                errors[i] = exc
-        shared_rows = None
-        if len(ok) > 1:
-            try:
-                shared_rows = _run_shared([tasks[i] for i in ok])
-            except Exception:
-                shared_rows = None  # degrade to per-item execution
-        if shared_rows is not None:
-            for i, row in zip(ok, shared_rows):
-                rows[i], done[i] = row, True
-        else:
-            solo.extend(ok)
-    for i in solo:
         try:
-            if i not in fired:
-                faults.fire("run_job", _job_token(tasks[i][0]))
+            faults.fire("run_job", _job_token(tasks[i][0]))
             rows[i] = _run_job(tasks[i])
             done[i] = True
         except Exception as exc:
@@ -612,10 +503,8 @@ def _attempt_items(tasks, idxs, rows, done, errors) -> None:
 def _run_chunk_retry(task: tuple) -> dict:
     """Fused, fault-tolerant phase-2 chunk.  ``task`` is
     ``(tasks, policy)`` with the per-item tasks :func:`_run_job`
-    takes; returns ``{"rows": [...], "retries": n}``.  Within the
-    chunk, jobs of one instance whose algorithms consume work-function
-    bounds are grouped (in job order) and replayed through
-    :func:`_run_shared`; everything else goes through :func:`_run_job`.
+    takes; returns ``{"rows": [...], "retries": n}``.  Every item runs
+    through :func:`_run_job`, in job order.
 
     A failing item is retried (exponential backoff, in this worker so
     per-process fault counters stay deterministic) up to
@@ -764,10 +653,7 @@ class _Promise:
 
     def result(self) -> dict:
         if self.record is None:
-            out = self.future.result()
-            if isinstance(out, dict):  # _solve_chunk_retry envelope
-                out = out["records"]
-            self.record = out[self.pos]
+            self.record = self.future.result()["records"][self.pos]
         return self.record
 
 
@@ -856,7 +742,6 @@ class _GridRun:
         self.stats = stats
         self.store_root = store_root
         self.n_jobs = config.n_jobs
-        self.chunk_jobs = config.chunk_jobs
         self.force = config.force
         self.window = _RecordWindow()
         self.promises: dict[tuple, _Promise] = {}
@@ -976,8 +861,7 @@ class _GridRun:
 
     def submit_solves(self, st: _BatchState) -> None:
         """Submit the batch's phase-1 optimum solves as fused chunks."""
-        for chunk in executor.chunk_list(st.to_solve, self.n_jobs,
-                                          self.chunk_jobs):
+        for chunk in executor.chunk_list(st.to_solve, self.n_jobs):
             future = self._submit(_solve_chunk_retry,
                                   (chunk, self.store_root, self.policy))
             st.solve_chunks.append([chunk, future])
@@ -987,8 +871,7 @@ class _GridRun:
 
     def submit_runs(self, st: _BatchState) -> None:
         """Submit the batch's phase-2 algorithm jobs as fused chunks."""
-        for chunk in executor.chunk_list(st.pending, self.n_jobs,
-                                          self.chunk_jobs):
+        for chunk in executor.chunk_list(st.pending, self.n_jobs):
             tasks = [(job, st.records[_instance_coords(job)],
                       self.store_root)
                      for _i, job, _key in chunk]
@@ -1013,8 +896,7 @@ class _GridRun:
                     progressed = True
                     continue
                 self.future_gen.pop(future, None)
-                if isinstance(env, dict):
-                    self.stats.retries += env.get("retries", 0)
+                self.stats.retries += env["retries"]
                 entry[1] = None  # accounted; promises keep their ref
                 progressed = True
             for coords, promise in st.own_promises.items():
@@ -1073,10 +955,8 @@ class _GridRun:
                     progressed = True
                     continue
                 self.future_gen.pop(future, None)
-                rows = env["rows"] if isinstance(env, dict) else env
-                if isinstance(env, dict):
-                    self.stats.retries += env.get("retries", 0)
-                for (i, _job, key), row in zip(chunk, rows):
+                self.stats.retries += env["retries"]
+                for (i, _job, key), row in zip(chunk, env["rows"]):
                     st.rows[i] = row
                     if isinstance(row, dict) and \
                             row.get("status") == "failed":
@@ -1103,22 +983,13 @@ class _GridRun:
                 remaining.append((chunk, future))
                 continue
             try:
-                harvested = future.result()
+                env = future.result()
             except Exception:
                 remaining.append((chunk, future))
                 continue
-            rows = (harvested["rows"] if isinstance(harvested, dict)
-                    else harvested)
-            for (i, _job, key), row in zip(chunk, rows):
+            for (i, _job, key), row in zip(chunk, env["rows"]):
                 st.rows[i] = row
-                if isinstance(row, dict) and \
-                        row.get("status") == "failed":
-                    continue
-                if self.cache is not None:
-                    try:
-                        self.cache.put("jobs", key, row)
-                    except Exception:
-                        pass
+                self._cache_put("jobs", key, row)
         st.run_futures = remaining
 
 
@@ -1147,12 +1018,11 @@ def run_grid(spec: GridSpec, config: EngineConfig | None = None, *,
     up to ``pipeline_depth`` batches are in flight, so batch N+1's
     phase-1 solves are submitted while batch N's phase-2 chunks still
     run — the pool stays saturated end to end instead of idling at two
-    serial barriers per batch.  Phase
-    dispatch is *fused*: ``chunk_jobs`` jobs ride one worker round-trip
-    (``None`` auto-sizes, ``1`` disables fusion), and LCP-family jobs
-    sharing an instance are replayed from one shared work-function
-    sweep.  Rows are bit-identical for every
-    ``(n_jobs, batch_size, pipeline_depth, chunk_jobs)`` combination.
+    serial barriers per batch.  Each worker round-trip carries an
+    auto-sized chunk of jobs
+    (:func:`~repro.runner.executor.chunk_list`).  Rows are
+    bit-identical for every ``(n_jobs, batch_size, pipeline_depth)``
+    combination.
 
     With ``cache_dir``, each job's row (and each instance's optimum) is
     read from the per-job content-addressed cache when present (unless

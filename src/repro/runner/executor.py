@@ -86,8 +86,8 @@ class EngineConfig:
     ``cache_dir`` may be a directory path or a ready-made
     :class:`~repro.runner.jobcache.JobCache`; ``sink`` a
     :class:`~repro.runner.sinks.ResultSink` (``None`` collects rows in
-    memory); ``batch_size=None`` runs one batch; ``chunk_jobs=None``
-    auto-sizes fused dispatch.
+    memory); ``batch_size=None`` runs one batch.  Chunk sizing is
+    automatic (:func:`chunk_list`).
 
     The fault-tolerance knobs: a failing job is retried up to
     ``max_retries`` times (deterministic exponential backoff starting
@@ -105,7 +105,6 @@ class EngineConfig:
     sink: object = None
     batch_size: int | None = None
     pipeline_depth: int = DEFAULT_PIPELINE_DEPTH
-    chunk_jobs: int | None = None
     max_retries: int = 2
     retry_backoff: float = 0.05
     max_pool_restarts: int = 3
@@ -345,21 +344,17 @@ def parallel_map(fn, items, n_jobs: int = 1, chunksize: int | None = None):
 # ----------------------------------------------------------------------
 
 
-def chunk_list(items, n_jobs: int, chunk_jobs: int | None) -> list[list]:
+def chunk_list(items, n_jobs: int) -> list[list]:
     """Split ``items`` into contiguous chunks for fused dispatch.
 
-    ``chunk_jobs=None`` auto-sizes: in-process everything fuses into
-    one chunk (maximal sharing, no IPC to amortize anyway); on the pool
-    roughly two chunks per worker balance round-trip amortization
-    against load balancing.  ``chunk_jobs=1`` disables fusion (the
-    pre-pipeline per-job dispatch).
+    In-process everything fuses into one chunk (no IPC to amortize);
+    on the pool roughly two chunks per worker balance round-trip
+    amortization against load balancing.
     """
     items = list(items)
     if not items:
         return []
-    if chunk_jobs is not None:
-        size = max(1, int(chunk_jobs))
-    elif n_jobs <= 1:
+    if n_jobs <= 1:
         size = len(items)
     else:
         size = max(1, -(-len(items) // (2 * n_jobs)))

@@ -215,11 +215,12 @@ class TestBatchingHelpers:
         assert list(iter_batches([], None)) == []
 
     def test_chunk_list_in_process_fuses_everything(self):
-        assert chunk_list([1, 2, 3], n_jobs=1, chunk_jobs=None) == \
-            [[1, 2, 3]]
-        assert chunk_list([1, 2, 3], n_jobs=1, chunk_jobs=1) == \
-            [[1], [2], [3]]
-        assert chunk_list([], n_jobs=4, chunk_jobs=None) == []
+        assert chunk_list([1, 2, 3], n_jobs=1) == [[1, 2, 3]]
+        # on the pool: about two contiguous chunks per worker
+        assert chunk_list([1, 2, 3], n_jobs=2) == [[1], [2], [3]]
+        assert chunk_list(range(8), n_jobs=2) == \
+            [[0, 1], [2, 3], [4, 5], [6, 7]]
+        assert chunk_list([], n_jobs=4) == []
 
 
 # ----------------------------------------------------------------------

@@ -15,7 +15,7 @@ from repro.kernels import scalar as scalar_kernel
 from repro.kernels import vectorized as vector_kernel
 from repro.offline import solve_backward_lcp, solve_dp
 from repro.offline.backward import prefix_bounds
-from repro.online import run_online, run_online_many
+from repro.online import run_online
 from repro.online.workfunction import WorkFunctions
 from repro.runner import GridSpec, RunStats, run_grid
 from repro.runner.registry import _REGISTRY, get_spec
@@ -167,7 +167,7 @@ class TestReplayEquivalence:
 
     @pytest.mark.parametrize("scenario,T,seed",
                              [("diurnal", 96, 0), ("sawtooth", 64, 1),
-                              ("onoff", 200, 2)])
+                              ("onoff", 200, 2), ("bursty", 128, 3)])
     def test_sharers_and_baselines_bit_identical(self, scenario, T, seed):
         inst = build_instance(scenario, T, seed)
         names = _sharing_online_names() + list(self.FAST_PATH_BASELINES)
@@ -177,27 +177,14 @@ class TestReplayEquivalence:
             assert v.cost == s.cost, name
             assert np.array_equal(v.schedule, s.schedule), name
 
-    def test_run_online_many_bit_identical(self):
-        inst = build_instance("bursty", 128, 3)
-        names = _sharing_online_names() + list(self.FAST_PATH_BASELINES)
-        results = {}
-        for kernel in kernels.KERNELS:
-            with kernels.use(kernel):
-                results[kernel] = run_online_many(
-                    inst, [get_spec(n).make() for n in names])
-        for name, s, v in zip(names, results["scalar"],
-                              results["vector"]):
-            assert v.cost == s.cost, name
-            assert np.array_equal(v.schedule, s.schedule), name
-
     def test_lookahead_consumer_falls_back_identically(self):
         from repro.online import LCP
         inst = build_instance("diurnal", 48, 1)
         outs = {}
         for kernel in kernels.KERNELS:
             with kernels.use(kernel):
-                outs[kernel] = run_online_many(
-                    inst, [LCP(lookahead=3), LCP()])
+                outs[kernel] = [run_online(inst, LCP(lookahead=3)),
+                                run_online(inst, LCP())]
         for s, v in zip(outs["scalar"], outs["vector"]):
             assert v.cost == s.cost
             assert np.array_equal(v.schedule, s.schedule)
@@ -380,13 +367,13 @@ class TestEngineGrids:
             run_grid(spec, stats=stats)
         kernels.clear_sweep_cache()
         assert stats["sweep_memo_misses"] == 2   # one per instance
-        # the phase-2 shared replay hits what phase 1 swept
-        assert stats["sweep_memo_hits"] == 2
+        # every phase-2 job hits what phase 1 swept
+        assert stats["sweep_memo_hits"] == 6
 
     def test_fused_chunks_share_one_sweep_with_backward(self):
-        """With the vectorized kernel, a fused chunk serves the LCP
-        family, the backward solver *and* the phase-1 optimum from a
-        single memoized sweep per instance."""
+        """With the vectorized kernel, the per-process sweep memo
+        serves the LCP family, the backward solver *and* the phase-1
+        optimum from a single sweep per instance."""
         calls = 0
         real = vector_kernel.sweep_workfunction
 

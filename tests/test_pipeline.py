@@ -1,17 +1,15 @@
 """Tests for the pipelined engine core: double-buffered batches, fused
-chunk dispatch, shared work-function replay, and the drain/validation
+chunk dispatch, the LCP-family registry flags, and the drain/validation
 satellites."""
 
 import pytest
 
-from repro.online import run_online, run_online_many
 from repro.runner import (EngineConfig, GridSpec, InstanceStore, JobCache,
                           ListSink, RunStats, aggregate_rows, run_grid,
                           shutdown_pool)
 from repro.runner import engine as engine_mod
 from repro.runner import executor as executor_mod
 from repro.runner.registry import _REGISTRY, get_spec
-from repro.runner.scenarios import build_instance
 
 GRID = GridSpec(scenarios=("diurnal", "sawtooth"),
                 algorithms=("lcp", "eager-lcp", "threshold", "memoryless"),
@@ -34,21 +32,22 @@ GAME = GridSpec(scenarios=("lb-deterministic",),
 class TestPipelinedBitIdentity:
     """The acceptance property: the pipelined engine is bit-identical
     to the barrier engine on every pipeline, for every combination of
-    n_jobs, pipeline_depth and chunk_jobs."""
+    n_jobs, batch_size and pipeline_depth."""
 
     @pytest.mark.parametrize("spec", [GRID, RESTRICTED, HETERO, GAME],
                              ids=["general", "restricted", "hetero",
                                   "game"])
     def test_pipelined_matches_barrier(self, spec):
         barrier = run_grid(spec,
-                           EngineConfig(batch_size=3, pipeline_depth=1,
-                                        chunk_jobs=1))
+                           EngineConfig(batch_size=3, pipeline_depth=1))
         assert run_grid(spec, EngineConfig(batch_size=3,
                                            pipeline_depth=2)) == barrier
-        assert run_grid(spec,
-                        EngineConfig(batch_size=3, pipeline_depth=3,
-                                     chunk_jobs=2)) == barrier
+        for n_jobs in (1, 2):
+            assert run_grid(spec,
+                            EngineConfig(n_jobs=n_jobs, batch_size=5,
+                                         pipeline_depth=3)) == barrier
         assert run_grid(spec) == barrier
+        shutdown_pool()
 
     @pytest.mark.parametrize("spec", [GRID, GAME],
                              ids=["general", "game"])
@@ -61,12 +60,14 @@ class TestPipelinedBitIdentity:
     def test_chunked_dispatch_preserves_row_order(self):
         reference = run_grid(GRID)
         jobs = GRID.jobs()
-        for chunk_jobs in (1, 2, 3, 5, 100):
-            rows = run_grid(GRID,
-                            EngineConfig(batch_size=5, chunk_jobs=chunk_jobs))
-            assert rows == reference
-            assert [(r["scenario"], r["algorithm"], r["seed"])
-                    for r in rows] == [(j[0], j[1], j[4]) for j in jobs]
+        for n_jobs in (1, 2):
+            for batch_size in (1, 5, 100):
+                rows = run_grid(GRID, EngineConfig(n_jobs=n_jobs,
+                                                   batch_size=batch_size))
+                assert rows == reference
+                assert [(r["scenario"], r["algorithm"], r["seed"])
+                        for r in rows] == [(j[0], j[1], j[4]) for j in jobs]
+        shutdown_pool()
 
     def test_store_and_cache_under_pipelining(self, tmp_path):
         from repro.runner.instancestore import clear_memo
@@ -162,10 +163,9 @@ class TestMidPipelineKill:
         shutdown_pool()
 
 
-def _lcp_family(kind=None):
+def _lcp_family():
     return [name for name, spec in _REGISTRY.items()
-            if spec.shares_workfunction
-            and (kind is None or spec.kind == kind)]
+            if spec.shares_workfunction]
 
 
 class TestSharedReplay:
@@ -182,60 +182,12 @@ class TestSharedReplay:
                 # offline sharers take the precomputed sweep directly
                 assert spec.kind == "offline"
 
-    def test_shared_replay_matches_per_algorithm_replay(self):
-        """Satellite acceptance: one shared work-function sweep
-        reproduces every LCP-family entry's solo replay bit for bit."""
-        inst = build_instance("sawtooth", 64, 0)
-        family = _lcp_family("online")
-        algorithms = [get_spec(name).make() for name in family]
-        shared = run_online_many(inst, algorithms)
-        for name, res in zip(family, shared):
-            solo = run_online(inst, get_spec(name).make())
-            assert res.cost == solo.cost
-            assert (res.schedule == solo.schedule).all()
-
-    def test_shared_replay_with_lookahead_and_nonconsumers(self):
-        """Bounds-consumers with a prediction window and per-job-state
-        algorithms (threshold/memoryless) ride the same pass."""
-        from repro.online import (LCP, EagerLCP, MemorylessBalance,
-                                  ThresholdFractional)
-        inst = build_instance("diurnal", 48, 1)
-        make = lambda: [LCP(lookahead=3), EagerLCP(),  # noqa: E731
-                        ThresholdFractional(), MemorylessBalance()]
-        shared = run_online_many(inst, make())
-        for algorithm, res in zip(make(), shared):
-            solo = run_online(inst, algorithm)
-            assert res.cost == solo.cost
-            assert (res.schedule == solo.schedule).all()
-
     def test_nonconsumer_rejects_step_bounds(self):
         from repro.online import ThresholdFractional
         algorithm = ThresholdFractional()
         assert not algorithm.consumes_bounds
         with pytest.raises(NotImplementedError):
             algorithm.step_bounds(0, 1)
-
-    def test_engine_groups_sharers_within_chunks(self, monkeypatch):
-        """Fused chunks replay co-scheduled LCP-family jobs through one
-        shared sweep — and produce the same rows as per-job dispatch."""
-        calls = []
-        real = engine_mod._run_shared
-        monkeypatch.setattr(engine_mod, "_run_shared",
-                            lambda tasks: calls.append(len(tasks))
-                            or real(tasks))
-        fused = run_grid(GRID)  # serial: whole batch is one chunk
-        assert calls and all(n >= 2 for n in calls)
-        # the no-fusion path
-        assert fused == run_grid(GRID, EngineConfig(chunk_jobs=1))
-
-    def test_single_sharer_takes_ordinary_path(self, monkeypatch):
-        shared_calls = []
-        monkeypatch.setattr(engine_mod, "_run_shared",
-                            lambda tasks: shared_calls.append(tasks))
-        run_grid(GridSpec(scenarios=("diurnal",),
-                          algorithms=("lcp", "threshold"),
-                          seeds=(0,), sizes=(16,)))
-        assert not shared_calls
 
 
 class TestPromiseRace:
@@ -338,6 +290,31 @@ class TestPromiseRace:
         # lcp and threshold completed before the error: still flushed
         assert [r["algorithm"] for r in sink.rows] == ["lcp",
                                                        "threshold"]
+
+    def test_salvage_counts_dropped_cache_writes(self):
+        """The abort path writes salvaged rows through the same
+        best-effort cache seam as a normal harvest: a failing ``put``
+        is absorbed *and* counted in ``cache_put_failures``."""
+        from concurrent.futures import Future
+
+        class BrokenCache:
+            def put(self, kind, key, record):
+                raise OSError("disk full")
+
+        spec = GridSpec(scenarios=("diurnal",), algorithms=("lcp",),
+                        seeds=(0,), sizes=(16,))
+        job = spec.jobs()[0]
+        row = run_grid(spec)[0]
+        stats = RunStats()
+        run = engine_mod._GridRun(spec, EngineConfig(), BrokenCache(),
+                                  ListSink(), stats, None)
+        st = engine_mod._BatchState(run, [job])
+        future: Future = Future()
+        future.set_result({"rows": [row], "retries": 0})
+        st.run_futures = [([(0, job, engine_mod.job_key(job))], future)]
+        st.salvage()
+        assert st.rows == [row] and st.run_futures == []
+        assert stats.cache_put_failures == 1
 
     def test_sink_failure_stops_all_flushing(self, tmp_path):
         """When the *sink* is what failed, the drain must not keep
@@ -442,8 +419,10 @@ class TestSweepPipelined:
         assert sweep(_measure, grid,
                      EngineConfig(batch_size=2, pipeline_depth=1)) == reference
         assert sweep(_measure, grid,
-                     EngineConfig(batch_size=2, pipeline_depth=3,
-                                  chunk_jobs=2)) == reference
+                     EngineConfig(batch_size=2, pipeline_depth=3)) == reference
+        assert sweep(_measure, grid,
+                     EngineConfig(n_jobs=2, batch_size=4,
+                                  pipeline_depth=3)) == reference
         assert sweep(_measure, grid,
                      EngineConfig(n_jobs=2, batch_size=2,
                                   pipeline_depth=2)) == reference
