@@ -1,4 +1,4 @@
-"""E12 — ablations of the design choices DESIGN.md calls out.
+"""E12 — ablations of the reproduction's design choices.
 
 * The binary-search refinement loop does real work (coarse grid alone and
   truncated refinement are suboptimal at high rates);

@@ -2,8 +2,8 @@
 
 Every benchmark both *times* a representative kernel (pytest-benchmark)
 and *regenerates the paper-shaped artifact* — a table or series — which
-is printed and persisted under ``benchmarks/results/`` so EXPERIMENTS.md
-can quote it.  Shape assertions (who wins, where curves converge) are
+is printed and persisted under ``benchmarks/results/`` (collected by
+:mod:`repro.analysis.report`).  Shape assertions (who wins, where curves converge) are
 part of the benchmarks: a silent regression in a reproduced result fails
 the bench run.
 """

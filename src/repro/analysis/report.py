@@ -2,9 +2,9 @@
 
 The benchmarks persist their regenerated tables under
 ``benchmarks/results/E*.txt``.  This module collects them into a single
-report (the machine-generated companion of EXPERIMENTS.md), checks that
-every experiment of the DESIGN.md index actually produced artifacts, and
-extracts headline numbers for quick regression eyeballing.
+report, checks that every experiment of the :data:`EXPERIMENTS` index
+(one per claim of the paper) actually produced artifacts, and extracts
+headline numbers for quick regression eyeballing.
 """
 
 from __future__ import annotations

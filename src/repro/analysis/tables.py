@@ -1,7 +1,7 @@
 """Plain-text tables — every benchmark prints its paper-shaped artifact.
 
 No plotting dependencies: series and tables render as aligned monospace
-text, which is what EXPERIMENTS.md records.
+text, which is what ``benchmarks/results/E*.txt`` records.
 """
 
 from __future__ import annotations

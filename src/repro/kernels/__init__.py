@@ -23,6 +23,12 @@ agree.  The scalar setting also disables the whole-trajectory fast
 paths of the online replay layer (:mod:`repro.online.base`),
 restoring the pre-kernel per-step code paths end to end.
 
+The sequential loops that no whole-table pass can express (the
+Section 2.2 window DP, the threshold and memoryless walks) are compiled
+from ``_seqloops.c`` by :mod:`repro.kernels.native`, whose
+``loops()`` returns ``None`` under the scalar kernel or without a C
+compiler (``docs/KERNELS.md`` §7).
+
 A small per-process memo (:func:`cached_sweep`, sized by the
 ``REPRO_SWEEP_MEMO`` environment variable, default 16) lets the
 engine's phase-1 optimum computation and every phase-2 LCP-family job

@@ -13,7 +13,10 @@ states per column:
 Lemma 5 guarantees an optimal schedule of ``P_{k-1}`` inside that window,
 so by induction (Theorem 1) the final iteration returns an optimum of the
 original instance.  Each iteration is a DP over at most five states per
-column, i.e. ``O(T)`` work, for ``O(T log m)`` total.
+column, i.e. ``O(T)`` work, for ``O(T log m)`` total.  The DP is a
+sequential recurrence over ``t``: it runs as one compiled loop
+(:mod:`repro.kernels.native`) and falls back to a NumPy loop with the
+same float operations when no compiler is available.
 
 ``m`` is padded to a power of two with the adverse convex extension
 ``f'_t(x) = x (f_t(m) + eps)`` for ``x > m`` (Section 2.2); the padded
@@ -26,6 +29,7 @@ import numpy as np
 
 from ..core.instance import Instance
 from ..core.transforms import next_power_of_two
+from ..kernels import native
 from .dp import solve_dp
 from .result import OfflineResult
 
@@ -58,23 +62,42 @@ def windowed_dp(instance: Instance, S: np.ndarray,
                 eps: float = 1.0) -> tuple[np.ndarray, float]:
     """Optimal schedule restricted to per-column state windows.
 
-    ``S`` is an int64 matrix of shape ``(T, width)``; column ``t`` may only
-    use the states ``S[t]`` (rows must be sorted; duplicate entries are
-    allowed and act as padding).  States above ``instance.m`` are priced by
-    the Section 2.2 padding with slope offset ``eps``.
+    ``S`` is an integer matrix of shape ``(T, width)``; column ``t`` may
+    only use the states ``S[t]`` (non-negative; rows must be sorted;
+    duplicate entries are allowed and act as padding).  States above
+    ``instance.m`` are priced by the Section 2.2 padding with slope offset
+    ``eps``.
 
     Returns ``(schedule, cost)`` where the cost is with respect to the
     padded instance (equal to the original cost whenever the schedule stays
     within ``0..m``).  Runs the ``O(T * width^2)`` window DP — ``O(T)`` for
-    the constant window width of the paper's algorithm.
+    the constant window width of the paper's algorithm — as one compiled
+    loop that prices each switch inline; the NumPy fallback (scalar
+    kernel, or no compiler) hoists the switching costs into a
+    ``(T-1, width, width)`` tensor instead.  Both take the first index
+    among tied predecessors and return the same bits.
     """
     T = instance.T
-    if S.shape[0] != T:
-        raise ValueError(f"state windows must have {T} rows")
-    beta = instance.beta
-    Sf = S.astype(np.float64)
-    op = _padded_cost_matrix(instance.F, S, eps)
+    S = np.ascontiguousarray(S, dtype=np.int64)
+    if S.ndim != 2 or S.shape[0] != T:
+        raise ValueError(f"state windows must be a 2-D array with {T} rows")
     width = S.shape[1]
+    if width == 0:
+        raise ValueError("state windows must not be empty")
+    if np.any(S < 0):
+        raise ValueError("window states must be non-negative")
+    if T == 0:
+        return np.zeros(0, dtype=np.int64), 0.0
+    beta = float(instance.beta)
+    op = _padded_cost_matrix(instance.F, S, eps)
+    lib = native.loops()
+    if lib is not None:
+        parents = np.empty((T, width), dtype=np.int64)
+        rows = np.empty(2 * width)
+        schedule = np.empty(T, dtype=np.int64)
+        cost = lib.window_dp(T, width, S, op, beta, parents, rows, schedule)
+        return schedule, float(cost)
+    Sf = S.astype(np.float64)
     # Hoist the per-step (width x width) switching kernels out of the
     # sequential loop: switch[t-1, i, j] = beta (S[t, j] - S[t-1, i])^+.
     # The DP loop then only does small adds and argmins (profiling shows

@@ -28,6 +28,7 @@ import math
 import numpy as np
 
 from .._util import argmin_first, argmin_last
+from ..kernels import native
 from .base import OnlineAlgorithm
 
 __all__ = ["MemorylessBalance"]
@@ -48,9 +49,10 @@ class MemorylessBalance(OnlineAlgorithm):
     def _fbar(self, f_row: np.ndarray, x: float) -> float:
         """Piecewise-linear extension ``f-bar_t(x)`` on the integer grid.
 
-        A scalar two-point interpolation shared by the per-step and the
-        whole-trajectory paths — sharing one implementation is what
-        makes the two paths bit-identical by construction.
+        A scalar two-point interpolation.  The compiled walk behind
+        :meth:`run_table` repeats these operations in the same order
+        (``fbar`` in ``kernels/_seqloops.c``), which keeps the two paths
+        bit-identical.
         """
         i = int(x)
         if i >= self.m:
@@ -64,25 +66,26 @@ class MemorylessBalance(OnlineAlgorithm):
                                argmin_last(f_row))
 
     def run_table(self, F: np.ndarray):
-        """Whole-trajectory balance walk.
+        """Whole-trajectory balance walk, or ``None``.
 
         Hoists the per-row minimizer-plateau ends (two table-wide
-        ``argmin`` passes) out of the loop; the balance-point scan
-        itself stays per step but touches only the cells between the
-        previous state and the plateau.
+        ``argmin`` passes) out of the loop; the walk itself runs as one
+        compiled loop (:mod:`repro.kernels.native`) that transcribes
+        :meth:`_step_core` operation for operation.  Declines (the
+        harness then steps :meth:`step`) without the compiled loops.
         """
-        F = np.asarray(F, dtype=np.float64)
+        lib = native.loops()
+        if lib is None:
+            return None
+        F = np.ascontiguousarray(F, dtype=np.float64)
         T, last = F.shape[0], F.shape[1] - 1
-        lo_all = F.argmin(axis=1).tolist()
-        hi_all = (last - F[:, ::-1].argmin(axis=1)).tolist()
-        # plain-list rows: ``_fbar``'s scalar indexing is python-level
-        # either way, and list access skips the ndarray scalar boxing
-        # (float(row[i]) yields the same double bit-for-bit)
-        rows = F.tolist()
+        lo = F.argmin(axis=1).astype(np.int64)
+        hi = last - F[:, ::-1].argmin(axis=1).astype(np.int64)
         out = np.empty(T, dtype=np.float64)
-        core = self._step_core
-        for t in range(T):
-            out[t] = core(rows[t], lo_all[t], hi_all[t])
+        lib.memoryless_walk(T, last, F, lo, hi, float(self.beta),
+                            float(self.state), out)
+        if T:
+            self._set_state(float(out[-1]))
         return out
 
     def _step_core(self, f_row: np.ndarray, lo_min: int,

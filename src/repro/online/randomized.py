@@ -95,21 +95,56 @@ def transition_prob_up(xbar_prev: float, xbar_t: float, x_prev: int) -> float:
     return float(1.0 - p_down)
 
 
+def _snap_table(xbars: np.ndarray) -> np.ndarray:
+    """:func:`_snap` of every entry.  ``+ 0.0`` turns the ``-0.0`` that
+    ``np.round`` keeps for tiny negatives into the ``0.0`` of ``float(0)``
+    and leaves every other value unchanged."""
+    r = np.round(xbars)
+    return np.where(np.abs(xbars - r) <= _SNAP, r, xbars) + 0.0
+
+
+def _prob_up_table(prev: np.ndarray, cur: np.ndarray,
+                   x_prev: np.ndarray) -> np.ndarray:
+    """:func:`transition_prob_up` of every step, on snapped ``prev`` and
+    ``cur``: the same float operations, selected with ``np.where``
+    (Python's ``max(a, b)`` keeps ``a`` unless ``b > a``)."""
+    lower = np.floor(cur)
+    upper = lower + 1.0
+    xp = np.where(lower > prev, lower, prev)
+    xp = np.where(upper < xp, upper, xp)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p_up = (cur - xp) / (1.0 - (xp - lower))
+        p_down = 1.0 - (xp - cur) / (xp - lower)
+    return np.where(prev <= cur,
+                    np.where(x_prev >= upper, 1.0, p_up),
+                    np.where(x_prev <= lower, 0.0, p_down))
+
+
 def sample_rounding(xbars: np.ndarray, rng: np.random.Generator,
                     m: int | None = None) -> np.ndarray:
-    """Sample an integral schedule from a fractional one (Section 4.1)."""
-    xbars = np.asarray(xbars, dtype=np.float64)
-    out = np.empty(xbars.shape[0], dtype=np.int64)
-    x_prev = 0
-    xbar_prev = 0.0
-    for t, xbar in enumerate(xbars):
-        p = transition_prob_up(xbar_prev, float(xbar), x_prev)
-        lower = int(np.floor(_snap(float(xbar))))
-        x_prev = lower + 1 if rng.random() < p else lower
-        if m is not None and x_prev > m:  # only reachable with p == 0
-            raise AssertionError("rounded state left the state space")
-        out[t] = x_prev
-        xbar_prev = float(xbar)
+    """Sample an integral schedule from a fractional one (Section 4.1).
+
+    Starts from ``x_0 = x-bar_0 = 0`` and draws ``rng.random(T)`` — the
+    same stream as ``T`` scalar draws.  Since ``x_{t-1}`` is either
+    ``floor(x-bar_{t-1})`` or one above it, :func:`transition_prob_up`
+    is evaluated table-wide for both previous states and the chain only
+    carries one bit (was the previous step rounded up?).  Equal, for
+    the same ``rng``, to stepping :class:`RandomizedRounding`.
+    """
+    xbars = _snap_table(np.asarray(xbars, dtype=np.float64))
+    T = xbars.shape[0]
+    prev = np.concatenate(([0.0], xbars))[:T]
+    prev_lower = np.floor(prev)
+    p_low = _prob_up_table(prev, xbars, prev_lower).tolist()
+    p_high = _prob_up_table(prev, xbars, prev_lower + 1.0).tolist()
+    up = False
+    ups = []
+    for u, p_lo, p_hi in zip(rng.random(T).tolist(), p_low, p_high):
+        up = u < (p_hi if up else p_lo)
+        ups.append(up)
+    out = np.floor(xbars).astype(np.int64) + np.array(ups, dtype=np.int64)
+    if m is not None and np.any(out > m):  # only reachable with p == 0
+        raise AssertionError("rounded state left the state space")
     return out
 
 
@@ -204,6 +239,22 @@ class RandomizedRounding(OnlineAlgorithm):
         self._xbar_prev = xbar
         self._set_state(x)
         return x
+
+    def run_table(self, F: np.ndarray):
+        """Whole-trajectory rounding: the inner algorithm's
+        :meth:`~repro.online.base.OnlineAlgorithm.run_table` (declining
+        when it declines) followed by one table-wide
+        :func:`sample_rounding` — the same draws, probabilities and
+        states as stepping :meth:`step`."""
+        xbars = self._inner.run_table(F)
+        if xbars is None:
+            return None
+        xs = sample_rounding(xbars, self._rng)
+        self.fractional_log = np.asarray(xbars, dtype=np.float64).tolist()
+        if xs.size:
+            self._xbar_prev = self.fractional_log[-1]
+            self._set_state(int(xs[-1]))
+        return xs
 
 
 @dataclasses.dataclass(frozen=True)

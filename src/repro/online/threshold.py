@@ -1,9 +1,10 @@
 """2-competitive fractional online algorithm (threshold "charge-half" rule).
 
 This is the repository's proof-carrying substitute for the algorithm of
-Bansal et al. [7] that Section 4 of the paper uses as a black box (see
-DESIGN.md §4/§5 and docs/ANALYSIS.md for the substitution rationale and
-the full competitive analysis).
+Bansal et al. [7] that Section 4 of the paper uses as a black box: any
+2-competitive fractional algorithm serves Theorem 3, and this one comes
+with a per-step competitive certificate that ``tests/test_threshold.py``
+checks (``TestPotentialCertificate``).
 
 State: a threshold profile ``q in [0,1]^m`` with ``q_s`` interpreted as
 the probability that at least ``s`` servers are active; the fractional
@@ -19,7 +20,8 @@ vice versa, at rate ``1/beta`` per unit of charged cost — exactly the
 ``beta = 2`` and the hinge functions ``phi_0/phi_1`` arrive.  Convexity
 of ``f_t`` makes ``g`` nondecreasing, which preserves the monotonicity
 ``q_1 >= q_2 >= ...`` (a valid threshold profile).  A per-threshold
-potential argument (docs/ANALYSIS.md) shows the induced fractional
+potential argument (``Phi = (beta/2)(d + d^2)`` with ``d = |q_s - o_s|``
+against an integral optimum ``o``) shows the induced fractional
 schedule costs at most twice the offline optimum; the randomized rounding
 of Section 4 then converts it into an integral 2-competitive algorithm.
 """
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..kernels import native
 from .base import OnlineAlgorithm
 
 __all__ = ["ThresholdFractional"]
@@ -66,35 +69,30 @@ class ThresholdFractional(OnlineAlgorithm):
         return x
 
     def run_table(self, F: np.ndarray):
-        """Whole-trajectory threshold rule.
+        """Whole-trajectory threshold rule, or ``None``.
 
         The per-threshold drifts ``g_s / beta`` are one table-wide
-        ``diff`` + divide; the clamped accumulation across time is
-        inherently sequential, but shrinks to three in-place array
-        calls per step — elementwise the same operations (and so the
-        same floats) as :meth:`step`.  Declines under ``validate=True``
-        to keep the per-step monotonicity assertion.
+        ``diff`` + divide; the clamped accumulation across time runs as
+        one compiled walk (:mod:`repro.kernels.native`) that overwrites
+        each drift row with its clamped profile, and the per-step sums
+        are one ``np.add.reduce`` over the rows — the pairwise reduction
+        :meth:`step`'s ``q.sum()`` runs on each row.  Declines (the
+        harness then steps :meth:`step`) without the compiled loops and
+        under ``validate=True``, to keep the per-step monotonicity
+        assertion.
         """
-        if self._validate:
+        lib = native.loops()
+        if self._validate or lib is None:
             return None
         F = np.asarray(F, dtype=np.float64)
-        T = F.shape[0]
-        G = np.diff(F, axis=1)
+        G = np.ascontiguousarray(np.diff(F, axis=1))
+        T, m = G.shape
+        if m != self._q.shape[0]:
+            raise ValueError(f"cost table has {m + 1} states, expected "
+                             f"{self.m + 1}")
         np.divide(G, self.beta, out=G)
-        drifts = list(G)
-        q = self._q
-        out = np.empty(T, dtype=np.float64)
-        # clip(q, 0, 1) == minimum(maximum(q, 0), 1) exactly (pure
-        # selections, no rounding), and np.add.reduce is the very
-        # reduction ndarray.sum dispatches to — raw-ufunc spellings of
-        # the same ops, skipping the dispatch wrappers in this loop
-        subtract, vmax, vmin = np.subtract, np.maximum, np.minimum
-        total = np.add.reduce
-        for t in range(T):
-            subtract(q, drifts[t], out=q)
-            vmax(q, 0.0, out=q)
-            vmin(q, 1.0, out=q)
-            out[t] = total(q)
-        if T:
+        lib.threshold_walk(T, m, G, self._q)
+        out = np.add.reduce(G, axis=1)
+        if out.size:
             self._set_state(float(out[-1]))
         return out

@@ -33,6 +33,16 @@ GOLDEN_SPEC = GridSpec(
                 "never-off", "binary_search"),
     seeds=(0, 1), sizes=(1000,))
 
+#: the Section 4 rounding and the Section 2.2 offline solver, which
+#: GOLDEN_SPEC leaves out or covers only at one size; recorded at
+#: ENGINE_VERSION 5 before either got a compiled loop
+ROUNDING_SPEC = GridSpec(
+    scenarios=("diurnal", "bursty"),
+    algorithms=("randomized", "binary_search"),
+    seeds=(0, 1), sizes=(1000,))
+ROUNDING_DIGEST = \
+    "da715e9eff5ceb4984fa4dd674129dc9a4cfc432680041c9a25ee2cae94c9fce"
+
 #: one small grid per non-general pipeline, recorded at ENGINE_VERSION 5
 PIPELINE_GOLDENS = {
     "restricted": (
@@ -75,6 +85,17 @@ def test_rows_match_golden_digest():
     assert digest == GOLDEN_DIGEST, (
         f"result rows changed (digest {digest}) while ENGINE_VERSION "
         f"stayed {ENGINE_VERSION}: bump ENGINE_VERSION or restore the rows")
+
+
+def test_rounding_rows_match_golden_digest():
+    rows = run_grid(ROUNDING_SPEC)
+    assert len(rows) == len(ROUNDING_SPEC)
+    assert all(r.get("status") != "failed" for r in rows)
+    assert ENGINE_VERSION == GOLDEN_ENGINE_VERSION
+    assert rows_digest(rows) == ROUNDING_DIGEST, (
+        f"randomized/binary_search rows changed (digest "
+        f"{rows_digest(rows)}) while ENGINE_VERSION stayed "
+        f"{ENGINE_VERSION}")
 
 
 @pytest.mark.parametrize("store", [False, True], ids=["rebuild", "store"])

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro import kernels
+from repro.kernels import native
 from repro.kernels import scalar as scalar_kernel
 from repro.kernels import vectorized as vector_kernel
 from repro.offline import solve_backward_lcp, solve_dp
@@ -159,7 +160,7 @@ class TestReplayEquivalence:
     replays bit-identically under both kernels."""
 
     FAST_PATH_BASELINES = ("threshold", "memoryless", "followmin",
-                          "never-off")
+                          "never-off", "randomized")
 
     def _replay(self, name, inst, kernel):
         with kernels.use(kernel):
@@ -176,6 +177,24 @@ class TestReplayEquivalence:
             v = self._replay(name, inst, "vector")
             assert v.cost == s.cost, name
             assert np.array_equal(v.schedule, s.schedule), name
+
+    @pytest.mark.parametrize("name", ["threshold", "memoryless",
+                                      "randomized"])
+    def test_table_walks_on_random_convex_tables(self, name):
+        """Steep switching (large beta) stops the memoryless walk inside
+        a cell, small beta lets the threshold profile saturate: the
+        compiled walks must match the per-step loop on both."""
+        from repro.workloads import random_convex_instance
+        rng = np.random.default_rng(11)
+        for beta in (0.2, 1.0, 8.0, 60.0):
+            for _ in range(6):
+                inst = random_convex_instance(
+                    rng, int(rng.integers(1, 80)), int(rng.integers(0, 12)),
+                    beta)
+                s = self._replay(name, inst, "scalar")
+                v = self._replay(name, inst, "vector")
+                assert v.cost == s.cost, (name, beta)
+                assert v.schedule.tobytes() == s.schedule.tobytes()
 
     def test_lookahead_consumer_falls_back_identically(self):
         from repro.online import LCP
@@ -330,7 +349,8 @@ class TestEngineGrids:
         "general": GridSpec(
             scenarios=("diurnal", "sawtooth"),
             algorithms=("lcp", "eager-lcp", "threshold", "memoryless",
-                        "followmin", "never-off", "backward_lcp", "dp"),
+                        "followmin", "never-off", "backward_lcp", "dp",
+                        "randomized", "binary_search"),
             seeds=(0, 1), sizes=(24,)),
         "restricted": GridSpec(
             scenarios=("restricted-diurnal",),
@@ -395,3 +415,55 @@ class TestEngineGrids:
             kernels.clear_sweep_cache()
         assert len(rows) == 3
         assert calls == 1  # one instance -> one sweep, shared by all
+
+
+class TestNativeLoader:
+    """The one check, :func:`repro.kernels.native.loops`: the compiled
+    loops or ``None``, never an exception, and the same rows either
+    way."""
+
+    @pytest.fixture
+    def fresh_loader(self, monkeypatch, tmp_path):
+        """An empty cache directory and a cleared per-process memo
+        (cleared again afterwards, so later tests reload the real
+        library)."""
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        native._load.cache_clear()
+        yield tmp_path
+        native._load.cache_clear()
+
+    def test_scalar_kernel_selects_reference_loops(self):
+        with kernels.use("scalar"):
+            assert native.loops() is None
+
+    def test_no_compiler_falls_back_with_golden_rows(self, fresh_loader,
+                                                     monkeypatch):
+        from tests.test_golden import GOLDEN_DIGEST, GOLDEN_SPEC, rows_digest
+        empty = fresh_loader / "bin"
+        empty.mkdir()
+        monkeypatch.setenv("PATH", str(empty))
+        with kernels.use("vector"):
+            assert native.loops() is None
+            rows = run_grid(GOLDEN_SPEC)
+        assert rows_digest(rows) == GOLDEN_DIGEST
+
+    def test_failing_compiler_leaves_nothing_behind(self, fresh_loader,
+                                                    monkeypatch):
+        bindir = fresh_loader / "bin"
+        bindir.mkdir()
+        cc = bindir / "cc"
+        cc.write_text("#!/bin/sh\nexit 1\n")
+        cc.chmod(0o755)
+        monkeypatch.setenv("PATH", str(bindir))
+        with kernels.use("vector"):
+            assert native.loops() is None
+        cache = fresh_loader / "cache" / "repro"
+        assert list(cache.iterdir()) == []
+
+    def test_shared_cache_directory_is_refused(self, fresh_loader):
+        cache = fresh_loader / "cache" / "repro"
+        cache.mkdir(parents=True)
+        cache.chmod(0o777)
+        with kernels.use("vector"):
+            assert native.loops() is None
+        assert list(cache.iterdir()) == []

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro import kernels
 from repro.core.instance import Instance
+from repro.kernels import native
 from repro.core.schedule import cost
 from repro.offline import (solve_binary_search, solve_dp, window_states,
                            windowed_dp)
@@ -114,6 +116,125 @@ class TestWindowedDP:
         inst = random_convex_instance(rng, 3, 4, 1.0)
         with pytest.raises(ValueError):
             windowed_dp(inst, np.zeros((2, 5), dtype=np.int64))
+
+    @pytest.mark.parametrize("kernel", kernels.KERNELS)
+    def test_negative_states_rejected(self, kernel):
+        """A state of -1 must not wrap to the last cost column."""
+        inst = Instance.from_matrix([[8, 4, 1, 0, 0]] * 3, beta=1.0)
+        with kernels.use(kernel), pytest.raises(ValueError):
+            windowed_dp(inst, np.array([[-1, 0, 2]] * 3, dtype=np.int64))
+
+    @pytest.mark.parametrize("S", [np.zeros(3, dtype=np.int64),
+                                   np.zeros((3, 0), dtype=np.int64),
+                                   np.zeros((3, 2, 2), dtype=np.int64)],
+                             ids=["1-D", "empty-width", "3-D"])
+    def test_window_shape_checked(self, S):
+        inst = Instance.from_matrix([[8, 4, 1, 0, 0]] * 3, beta=1.0)
+        with pytest.raises(ValueError):
+            windowed_dp(inst, S)
+
+    def test_states_above_m_stay_legal_padding(self):
+        inst = Instance.from_matrix([[8, 4, 1, 0, 0]] * 3, beta=1.0)
+        schedule, c = windowed_dp(inst, np.array([[0, 2, 6]] * 3))
+        assert schedule.tolist() == [2, 2, 2]
+        assert c == 5.0
+
+
+def _byte_identical_solves(inst, **kwargs):
+    """Solve under the compiled loop and the NumPy loop (the scalar
+    kernel) and assert the same bytes."""
+    with kernels.use("vector"):
+        fast = solve_binary_search(inst, **kwargs)
+    with kernels.use("scalar"):
+        ref = solve_binary_search(inst, **kwargs)
+    assert fast.schedule.tobytes() == ref.schedule.tobytes()
+    assert np.float64(fast.cost).tobytes() == np.float64(ref.cost).tobytes()
+    assert fast.iterations == ref.iterations
+
+
+def _byte_identical_windows(inst, S):
+    with kernels.use("vector"):
+        fast = windowed_dp(inst, S)
+    with kernels.use("scalar"):
+        ref = windowed_dp(inst, S)
+    assert fast[0].tobytes() == ref[0].tobytes()
+    assert np.float64(fast[1]).tobytes() == np.float64(ref[1]).tobytes()
+
+
+class TestCompiledWindowDP:
+    """The compiled window DP returns the NumPy loop's bytes on every
+    instance family of this module."""
+
+    @pytest.fixture(autouse=True)
+    def _compiled(self):
+        if native.loops() is None:
+            pytest.skip("compiled loops unavailable (no cc)")
+
+    def test_random_families(self):
+        rng = np.random.default_rng(50)
+        for _ in range(40):
+            T = int(rng.integers(1, 15))
+            m = int(rng.integers(1, 35))
+            _byte_identical_solves(random_convex_instance(
+                rng, T, m, float(rng.uniform(0.2, 5.0))), validate=True)
+
+    @pytest.mark.parametrize("m", [4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33,
+                                   63, 64, 65, 100, 127, 128, 129, 500])
+    def test_m_at_and_beside_powers_of_two(self, m):
+        rng = np.random.default_rng(51 + m)
+        _byte_identical_solves(random_convex_instance(rng, 12, m, 1.7))
+
+    def test_named_families(self):
+        for inst in (hinge_instance([0, 9, 3, 9, 0], m=12, beta=2.0),
+                     bowl_instance([2, 10, 5, 11], m=12, beta=0.5),
+                     trace_instance(seed=3, T=72, peak=20.0, beta=5.0)):
+            _byte_identical_solves(inst)
+        rng = np.random.default_rng(52)
+        inst = random_convex_instance(rng, 10, 21, 1.0)
+        for eps in (1e-6, 1e-3, 1.0, 1e3):
+            _byte_identical_solves(inst, eps=eps)
+
+    def test_single_step(self):
+        rng = np.random.default_rng(56)
+        for m in (4, 9, 33):
+            inst = random_convex_instance(rng, 1, m, 1.3)
+            _byte_identical_solves(inst)
+            _byte_identical_windows(inst, window_states(
+                np.array([m // 2]), 2, m))
+
+    def test_duplicate_padding_and_flat_ties(self):
+        """Clamped windows repeat boundary states and flat rows tie every
+        predecessor: both loops must pick the first minimum."""
+        rng = np.random.default_rng(58)
+        inst = random_convex_instance(rng, 9, 4, 1.0)
+        S = np.array([[0, 0, 1, 2, 2, 3, 4, 4]] * 9, dtype=np.int64)
+        _byte_identical_windows(inst, S)
+        flat = Instance.from_matrix(np.zeros((7, 9)), beta=1.0)
+        _byte_identical_windows(flat, window_states(
+            np.zeros(7, dtype=np.int64), 2, 8))
+        _byte_identical_windows(flat, np.tile([3, 3, 3, 8, 8], (7, 1)))
+        _byte_identical_solves(flat)
+        # flat rows, then a ramp down to state 8: every predecessor of the
+        # last column ties, each at a different state
+        ramp = Instance.from_matrix(
+            np.vstack([np.zeros((6, 9)), np.arange(16.0, -1.0, -2.0)]),
+            beta=1.0)
+        _byte_identical_windows(ramp, np.tile(np.arange(0, 9, 2), (7, 1)))
+        _byte_identical_solves(ramp)
+
+    def test_greedy_centered_windows(self):
+        from repro._util import argmin_first
+        rng = np.random.default_rng(62)
+        for _ in range(20):
+            T = int(rng.integers(2, 8))
+            m = int(rng.integers(8, 33))
+            inst = random_convex_instance(rng, T, m,
+                                          float(rng.uniform(0.2, 3.0)))
+            greedy = np.array([argmin_first(inst.F[t]) for t in range(T)],
+                              dtype=np.int64)
+            for span in (1, 2, 3):
+                _byte_identical_windows(inst, window_states(
+                    greedy, 1, inst.m, span=span))
 
 
 class TestWindowStates:

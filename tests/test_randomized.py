@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import kernels
 from repro.analysis import optimal_cost
 from repro.core.schedule import interp_operating
 from repro.online import (RandomizedRounding, ThresholdFractional, ceil_star,
@@ -215,7 +216,67 @@ class TestSampling:
     def test_wrapper_fractional_log(self):
         rng = np.random.default_rng(121)
         inst = random_convex_instance(rng, 10, 4, 1.0)
-        algo = RandomizedRounding(ThresholdFractional(), rng=3)
-        run_online(inst, algo)
-        fr = run_online(inst, ThresholdFractional())
-        np.testing.assert_allclose(algo.fractional_log, fr.schedule)
+        for kernel in kernels.KERNELS:
+            algo = RandomizedRounding(ThresholdFractional(), rng=3)
+            with kernels.use(kernel):
+                run_online(inst, algo)
+                fr = run_online(inst, ThresholdFractional())
+            np.testing.assert_allclose(algo.fractional_log, fr.schedule,
+                                       err_msg=kernel)
+
+
+def _stepped_rounding(xbars, seed):
+    """The per-step reference chain: one :func:`transition_prob_up` and
+    one scalar draw per step, as :meth:`RandomizedRounding.step` does."""
+    rng = np.random.default_rng(seed)
+    out, x_prev, xbar_prev = [], 0, 0.0
+    for xbar in np.asarray(xbars, dtype=np.float64).tolist():
+        p = transition_prob_up(xbar_prev, xbar, x_prev)
+        lower = ceil_star(xbar) - 1
+        x_prev = lower + 1 if rng.random() < p else lower
+        out.append(x_prev)
+        xbar_prev = xbar
+    return np.array(out, dtype=np.int64)
+
+
+class TestTableWideRounding:
+    """:func:`sample_rounding` evaluates the kernel table-wide; it must
+    draw the same states as the per-step chain for the same seed."""
+
+    CRAFTED = {
+        "integral": [0.0, 1.0, 3.0, 3.0, 2.0, 0.0, 5.0],
+        "snap-slack": [1e-10, -1e-10, 1.0 - 1e-10, 1.0 + 1e-10, 2.5,
+                       3.0 - 1e-10, 3.0 + 1e-10, -1e-10, 0.0],
+        "decreasing-across-cells": [4.7, 2.3, 0.6, 3.9, 1.2, 1.1, 0.0],
+        "xbar-equals-m": [5.0, 4.5, 5.0, 5.0, 2.0, 5.0],
+        "empty": [],
+    }
+
+    @pytest.mark.parametrize("name", sorted(CRAFTED))
+    def test_crafted_schedules_match_stepped_chain(self, name):
+        xbars = np.array(self.CRAFTED[name], dtype=np.float64)
+        for seed in range(40):
+            table = sample_rounding(xbars, np.random.default_rng(seed))
+            assert table.dtype == np.int64
+            np.testing.assert_array_equal(
+                table, _stepped_rounding(xbars, seed))
+
+    def test_random_schedules_match_stepped_chain(self):
+        rng = np.random.default_rng(122)
+        for trial in range(30):
+            T, m = int(rng.integers(1, 60)), int(rng.integers(1, 9))
+            xbars = random_fractional_schedule(rng, T, m)
+            np.testing.assert_array_equal(
+                sample_rounding(xbars, np.random.default_rng(trial), m=m),
+                _stepped_rounding(xbars, trial))
+
+    def test_snap_table_equals_scalar_snap(self):
+        from repro.online.randomized import _snap, _snap_table
+        xbars = np.array([0.0, -0.0, 1e-10, -1e-10, 2.0 - 1e-10, 2.5,
+                          3.0 + 2e-9, 7.0 + 1e-12, 4.4999999999])
+        assert _snap_table(xbars).tobytes() == np.array(
+            [_snap(float(x)) for x in xbars]).tobytes()
+
+    def test_state_space_check(self):
+        with pytest.raises(AssertionError):
+            sample_rounding(np.array([3.0]), np.random.default_rng(0), m=2)

@@ -1,11 +1,13 @@
 """Tests for the 2-competitive fractional threshold algorithm and its
-competitive certificate (DESIGN.md §5, docs/ANALYSIS.md)."""
+competitive certificate (Section 4's fractional black box; the
+potential argument is stated in ``repro/online/threshold.py``)."""
 
 import numpy as np
 import pytest
 
 from repro.analysis import optimal_cost
 from repro.core.instance import Instance
+from repro.kernels import native
 from repro.online import AlgorithmB, ThresholdFractional, run_online
 from repro.offline import solve_dp
 from tests.conftest import (hinge_instance, random_convex_instance,
@@ -95,8 +97,35 @@ class TestMechanics:
         assert a.cost == pytest.approx(b.cost)
 
 
+class TestCompiledWalk:
+    """The compiled walk plus one ``np.add.reduce`` over the rows equals
+    stepping :meth:`ThresholdFractional.step`, whose ``q.sum()`` is a
+    pairwise sum in blocks of 128 — so ``m`` spans several blocks."""
+
+    @pytest.mark.parametrize("m", [1, 2, 7, 127, 128, 129, 256, 257, 1000])
+    def test_table_walk_equals_step_loop(self, m):
+        if native.loops() is None:
+            pytest.skip("compiled loops unavailable (no cc)")
+        rng = np.random.default_rng(102 + m)
+        inst = random_convex_instance(rng, 30, m, float(rng.uniform(0.2, 5)))
+        fast = ThresholdFractional()
+        fast.reset(inst.m, inst.beta)
+        xs = fast.run_table(inst.F)
+        ref = ThresholdFractional()
+        ref.reset(inst.m, inst.beta)
+        steps = [ref.step(row) for row in inst.F]
+        assert xs.tobytes() == np.array(steps).tobytes()
+        assert fast.thresholds.tobytes() == ref.thresholds.tobytes()
+        assert fast.state == ref.state
+
+    def test_validate_declines(self):
+        alg = ThresholdFractional(validate=True)
+        alg.reset(3, 1.0)
+        assert alg.run_table(np.zeros((2, 4))) is None
+
+
 class TestPotentialCertificate:
-    """Per-step potential inequality from docs/ANALYSIS.md, checked on the
+    """Per-step potential inequality of the threshold rule, checked on the
     two-state game: ALG_t + Phi_t - Phi_{t-1} <= 2 OPT_t, with
     Phi = (beta/2) (d + d^2), d = |q - o|, against an integral OPT."""
 
