@@ -6,10 +6,9 @@ DP is linear in m (and the explicit graph quadratic).  Absolute times are
 machine-specific; the *shape* — binary search flat in m, DP growing
 linearly, crossover at moderate m — is the reproduced result.
 
-Engine-backed: the timing grids run through :func:`repro.analysis.sweep`
-(module-level measure functions over the engine's ``parallel_map``), and
-a ``run_grid`` pass checks that every exact solver lands on the hoisted
-per-instance optimum.
+The timing grids run in-process through :func:`repro.analysis.sweep`
+(never cached, so every timing is fresh), and a ``run_grid`` pass checks
+that every exact solver lands on the hoisted per-instance optimum.
 """
 
 import time
@@ -33,8 +32,7 @@ def _time(fn, *args, repeats=3, **kwargs) -> float:
 
 
 def _instance_at(T: int, m: int, salt: int):
-    """Deterministic random-convex instance per grid point (each sweep
-    point must be self-contained so it can run on any pool worker)."""
+    """Deterministic random-convex instance per grid point."""
     rng = np.random.default_rng([salt, T, m])
     return random_convex_instance(rng, T, m, 2.0)
 

@@ -755,7 +755,10 @@ def _cmd_work(args) -> int:
         queue = LeaseQueue(args.queue)
         kwargs = ({} if args.lease_jobs is None
                   else {"lease_jobs": args.lease_jobs})
-        grid_id = queue.enqueue(spec, **kwargs)
+        try:
+            grid_id = queue.enqueue(spec, **kwargs)
+        except ValueError as exc:
+            raise SystemExit(str(exc)) from None
         counts = queue.counts(grid_id)
         print(f"enqueued grid {grid_id}: {len(spec)} jobs in "
               f"{sum(counts.values())} leases -> {args.queue}")

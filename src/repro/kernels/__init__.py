@@ -29,8 +29,7 @@ from ``_seqloops.c`` by :mod:`repro.kernels.native`, whose
 ``loops()`` returns ``None`` under the scalar kernel or without a C
 compiler (``docs/KERNELS.md`` §7).
 
-A small per-process memo (:func:`cached_sweep`, sized by the
-``REPRO_SWEEP_MEMO`` environment variable, default 16) lets the
+A small per-process memo (:func:`cached_sweep`, 16 entries) lets the
 engine's phase-1 optimum computation and every phase-2 LCP-family job
 reuse one sweep per instance; :func:`sweep_stats` exposes monotonic per-
 process hit/miss counters and :func:`clear_sweep_cache` drops the memo
@@ -63,9 +62,6 @@ __all__ = [
 
 #: environment variable selecting the kernel implementation
 ENV_VAR = "REPRO_KERNEL"
-
-#: environment variable sizing the per-process sweep memo
-ENV_MEMO = "REPRO_SWEEP_MEMO"
 
 #: recognized kernel names
 KERNELS = ("vector", "scalar")
@@ -193,22 +189,6 @@ _SWEEP_CACHE_SIZE = 16
 _SWEEP_STATS = {"sweep_memo_hits": 0, "sweep_memo_misses": 0}
 
 
-def _memo_limit() -> int:
-    """Sweep-memo capacity, read from ``REPRO_SWEEP_MEMO`` on every
-    insertion (fork-safe, like the kernel selection itself)."""
-    raw = os.environ.get(ENV_MEMO)
-    if raw is None:
-        return _SWEEP_CACHE_SIZE
-    try:
-        limit = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"{ENV_MEMO}={raw!r} is not an integer memo size") from None
-    if limit < 1:
-        raise ValueError(f"{ENV_MEMO} must be >= 1, got {limit}")
-    return limit
-
-
 def cached_sweep(key, costs: np.ndarray, beta: float) -> SweepResult:
     """Memoized :func:`sweep_workfunction` keyed by ``key`` (hashable,
     e.g. the engine's instance coordinates) and the active kernel."""
@@ -220,9 +200,8 @@ def cached_sweep(key, costs: np.ndarray, beta: float) -> SweepResult:
         return hit
     result = sweep_workfunction(costs, beta)
     _SWEEP_STATS["sweep_memo_misses"] += 1
-    limit = _memo_limit()
     _SWEEP_CACHE[full_key] = result
-    while len(_SWEEP_CACHE) > limit:
+    while len(_SWEEP_CACHE) > _SWEEP_CACHE_SIZE:
         _SWEEP_CACHE.popitem(last=False)
     return result
 

@@ -8,11 +8,11 @@ The runner is the substrate every large-scale experiment stands on:
 * :mod:`repro.runner.scenarios` — one named catalog of workload
   scenarios: the trace families of the experimental evaluation plus
   adversarial, random-convex and heterogeneous-cost instances.
-* :mod:`repro.runner.executor` — the shared pipelined batch executor:
-  the persistent process pool, the :class:`EngineConfig` /
+* :mod:`repro.runner.executor` — the pipelined batch executor: the
+  persistent process pool, the :class:`EngineConfig` /
   :class:`RunStats` value objects and the one double-buffer /
-  in-order-drain scheduling loop (:func:`run_pipeline`) the engine,
-  ``analysis/sweep`` and the lease-queue worker all run on.
+  in-order-drain scheduling loop (:func:`run_pipeline`) that
+  :func:`run_grid` runs on (and through it the lease-queue worker).
 * :mod:`repro.runner.engine` — expands a :class:`GridSpec` of
   (scenario x algorithm x seed x size) into jobs, builds and solves
   each distinct instance's offline optimum once (phase 1), fans the

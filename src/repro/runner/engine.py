@@ -34,9 +34,9 @@ in-process or on a persistent process pool with fused chunking:
 
 The double-buffer / in-order-drain scheduling itself lives in
 :mod:`repro.runner.executor` (:func:`~repro.runner.executor.\
-run_pipeline`), shared with :func:`repro.analysis.sweep.sweep` and the
-multi-host lease-queue worker loop: this module contributes the grid
-*consumer* — the two-phase stage machine each admitted batch runs
+run_pipeline`), whose one consumer is this module (the multi-host
+lease-queue worker loop reaches it through :func:`run_grid`): this
+module contributes the two-phase stage machine each admitted batch runs
 (:class:`_BatchState` driven by :class:`_GridRun`).  Up to
 ``pipeline_depth`` batches are in flight at once, so while batch N's
 phase-2 chunks run, the parent is already generating batch N+1 and
@@ -63,8 +63,8 @@ Three properties make this the substrate for every large experiment:
 * **Pool reuse** — all phases share the executor's persistent
   module-level ``ProcessPoolExecutor`` (fork-else-spawn, grown never
   shrunk), reused across phases, grids and callers
-  (``analysis/sweep``, ``repro lowerbound``, :func:`parallel_map`), so
-  the many small grids the benches run don't pay a pool fork each;
+  (``repro lowerbound``, :func:`parallel_map`), so the many small
+  grids the benches run don't pay a pool fork each;
   :func:`shutdown_pool` tears it down explicitly (and at interpreter
   exit), cancelling queued-but-unstarted tasks so an interrupted
   pipeline never leaks orphaned work.  Jobs are handed to workers in
@@ -87,6 +87,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import numbers
 import os
 import traceback
 import zlib
@@ -163,7 +164,8 @@ class GridSpec:
     params: tuple = ("{}",)
 
     def __post_init__(self):
-        """Canonicalize the axes and validate that none is empty."""
+        """Canonicalize the axes, validate that none is empty and that
+        ``lookahead`` is a non-negative integer."""
         object.__setattr__(self, "scenarios", tuple(self.scenarios))
         object.__setattr__(self, "algorithms", tuple(self.algorithms))
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
@@ -178,6 +180,14 @@ class GridSpec:
             raise ValueError("seeds must be non-negative")
         if any(t < 1 for t in self.sizes):
             raise ValueError("sizes must be positive horizons")
+        # bool is an int subclass, but True would key the cache apart
+        # from 1; strings and floats would fail every job at run time
+        if (isinstance(self.lookahead, bool)
+                or not isinstance(self.lookahead, numbers.Integral)
+                or self.lookahead < 0):
+            raise ValueError(f"lookahead must be a non-negative integer, "
+                             f"got {self.lookahead!r}")
+        object.__setattr__(self, "lookahead", int(self.lookahead))
 
     def to_dict(self) -> dict:
         """JSON-canonical form (lists, not tuples)."""
@@ -277,31 +287,23 @@ def _solve_instance(task: tuple) -> dict:
     if pipeline == "game":
         return inst.baseline()
     if pipeline == "general":
-        if kernels.is_vectorized():
-            # One memoized kernel sweep serves this optimum *and* the
-            # phase-2 LCP replays / backward solver on the same
-            # instance (the final work-function row's minimum is the
-            # Section 2 DP optimum, bit-identically — the recurrences
-            # are the same ufunc sequence; see docs/KERNELS.md).
-            opt = kernels.cached_sweep(coords, inst.F, inst.beta).opt
-        else:
-            from ..analysis import optimal_cost
-            opt = optimal_cost(inst)
+        # One memoized kernel sweep serves this optimum *and* the
+        # phase-2 LCP replays / backward solver on the same instance
+        # (the final work-function row's minimum is the Section 2 DP
+        # optimum, bit-identically under either kernel — the
+        # recurrences are the same float operations; see
+        # docs/KERNELS.md).
+        opt = kernels.cached_sweep(coords, inst.F, inst.beta).opt
         m, beta = inst.m, inst.beta
     elif pipeline == "restricted":
-        if kernels.is_vectorized():
-            # The restricted forward DP is the work-function recurrence
-            # on the masked cost table, so the sweep's final-row
-            # minimum is solve_restricted's cost bit-identically.
-            from ..offline.restricted import restricted_cost_matrix
-            opt = kernels.cached_sweep(
-                coords, restricted_cost_matrix(inst), inst.beta).opt
-            if opt == float("inf"):
-                raise ValueError(
-                    "restricted instance has no feasible schedule")
-        else:
-            from ..offline import solve_restricted
-            opt = solve_restricted(inst).cost
+        # The restricted forward DP is the work-function recurrence on
+        # the masked cost table, so the sweep's final-row minimum is
+        # solve_restricted's cost bit-identically.
+        from ..offline.restricted import restricted_cost_matrix
+        opt = kernels.cached_sweep(
+            coords, restricted_cost_matrix(inst), inst.beta).opt
+        if opt == float("inf"):
+            raise ValueError("restricted instance has no feasible schedule")
         m, beta = inst.m, inst.beta
     else:  # hetero: report the pooled fleet size and the type-1 beta
         from ..extensions import solve_dp_hetero
@@ -372,13 +374,13 @@ def _run_job(task: tuple) -> dict:
         alg = spec.make(lookahead=lookahead, seed=_job_seed(job))
         bounds = None
         if (spec.shares_workfunction and alg.consumes_bounds
-                and alg.lookahead == 0 and kernels.is_vectorized()):
+                and alg.lookahead == 0):
             # reuse (or seed) the per-process sweep memo phase 1 filled
             bounds = kernels.cached_sweep(_instance_coords(job),
                                           inst.F, inst.beta)
         cost, opt = (run_online(inst, alg, bounds=bounds).cost,
                      inst_record["opt"])
-    elif spec.shares_workfunction and kernels.is_vectorized():
+    elif spec.shares_workfunction:
         # offline sweep sharer (backward_lcp): hand it the memoized
         # per-instance bound trajectory instead of a fresh sweep
         bounds = kernels.cached_sweep(_instance_coords(job),
@@ -1013,8 +1015,8 @@ def run_grid(spec: GridSpec, config: EngineConfig | None = None, *,
     returns ``sink.result()``.
 
     With ``n_jobs > 1`` batches are *double-buffered* on the persistent
-    pool (:func:`~repro.runner.executor.run_pipeline` — the scheduling
-    loop shared with ``analysis/sweep`` and the lease-queue worker):
+    pool (:func:`~repro.runner.executor.run_pipeline`, which the
+    lease-queue worker also reaches through ``run_grid``):
     up to ``pipeline_depth`` batches are in flight, so batch N+1's
     phase-1 solves are submitted while batch N's phase-2 chunks still
     run — the pool stays saturated end to end instead of idling at two

@@ -1,15 +1,12 @@
-"""Reusable pipelined batch executor: one double-buffer/drain loop.
+"""Pipelined batch executor: one double-buffer/drain loop.
 
-Historically :func:`repro.runner.engine.run_grid` and
-:func:`repro.analysis.sweep.sweep` each carried their own copy of the
-same scheduling loop: admit bounded batches of work, keep up to
-``pipeline_depth`` of them in flight on the persistent process pool,
-flush each completed batch's rows to the result sink *in admission
-order*, and — on abort — cancel outstanding futures, persist the
-chunks that did finish to the job cache, and still flush fully
-completed head batches so a killed run keeps a clean row prefix.
-
-This module is that loop, factored once:
+The scheduling loop of :func:`repro.runner.engine.run_grid`: admit
+bounded batches of work, keep up to ``pipeline_depth`` of them in
+flight on the persistent process pool, flush each completed batch's
+rows to the result sink *in admission order*, and — on abort — cancel
+outstanding futures, persist the chunks that did finish to the job
+cache, and still flush fully completed head batches so a killed run
+keeps a clean row prefix.
 
 * :class:`PipelineBatch` — the consumer contract: one admitted batch's
   stage machine (``advance``/``done``), the futures the scheduler may
@@ -20,18 +17,18 @@ This module is that loop, factored once:
   stage machines, flushes done heads in order, and drains on any
   exception.  The ``overlapped_batches`` / ``inflight_max`` /
   ``max_pending`` counters that prove overlap and O(batch) parent
-  memory are maintained here, identically for every consumer.
-* :class:`EngineConfig` / :class:`RunStats` — the shared execution
-  configuration and the typed stats counters all consumers report.
+  memory are maintained here.
+* :class:`EngineConfig` / :class:`RunStats` — the execution
+  configuration and the typed stats counters of a run.
 * The persistent module-level :class:`~concurrent.futures.\
 ProcessPoolExecutor` (fork-else-spawn, grown never shrunk), with
   :func:`submit_task` (inline for ``n_jobs <= 1``), fused
   :func:`chunk_list` dispatch and eager-validating :func:`iter_batches`.
 
-Consumers: the grid engine (:mod:`repro.runner.engine`), the parameter
-sweep (:mod:`repro.analysis.sweep`) and the multi-host lease-queue
-worker loop (:mod:`repro.runner.leasequeue`), which replays leased job
-ranges through :func:`~repro.runner.engine.run_grid` on this loop.
+One consumer: the grid engine (:mod:`repro.runner.engine`).  The
+multi-host lease-queue worker loop (:mod:`repro.runner.leasequeue`)
+reaches this loop by replaying leased job ranges through
+:func:`~repro.runner.engine.run_grid`.
 """
 
 from __future__ import annotations
@@ -75,13 +72,13 @@ DEFAULT_PIPELINE_DEPTH = 2
 
 @dataclasses.dataclass(frozen=True)
 class EngineConfig:
-    """Execution configuration shared by every executor consumer.
+    """Execution configuration of a grid run.
 
     One value object carries what used to be ``run_grid``'s sprawling
-    keyword surface; :func:`~repro.runner.engine.run_grid`,
-    :func:`~repro.analysis.sweep.sweep` and the lease-queue worker loop
-    (:func:`~repro.runner.leasequeue.work`) all accept a ``config=``
-    instance.  Frozen: derive variants with :func:`dataclasses.replace`.
+    keyword surface; :func:`~repro.runner.engine.run_grid` and the
+    lease-queue worker loop (:func:`~repro.runner.leasequeue.work`)
+    accept a ``config=`` instance.  Frozen: derive variants with
+    :func:`dataclasses.replace`.
 
     ``cache_dir`` may be a directory path or a ready-made
     :class:`~repro.runner.jobcache.JobCache`; ``sink`` a
@@ -152,9 +149,6 @@ class RunStats:
     rows_written: int = 0
     overlapped_batches: int = 0
     inflight_max: int = 0
-    #: sweep-point cache counters (:func:`repro.analysis.sweep.sweep`)
-    hits: int = 0
-    misses: int = 0
     #: lease-queue worker counters (:func:`repro.runner.leasequeue.work`)
     leases_claimed: int = 0
     leases_reclaimed: int = 0
@@ -319,10 +313,10 @@ def parallel_map(fn, items, n_jobs: int = 1, chunksize: int | None = None):
     ``fn`` and the items must be picklable for ``n_jobs > 1`` (module
     -level functions and plain data).  The pool outlives the call — it
     is reused by both engine phases, by every subsequent grid, and by
-    ``analysis/sweep`` and ``repro lowerbound`` — so pool startup is
-    amortized across the many small grids the benches run.  The
-    in-process path is a plain ``map`` so tests can monkeypatch ``fn``'s
-    module-level dependencies.
+    ``repro lowerbound`` — so pool startup is amortized across the many
+    small grids the benches run.  The in-process path is a plain
+    ``map`` so tests can monkeypatch ``fn``'s module-level
+    dependencies.
     """
     items = list(items)
     if n_jobs <= 1 or len(items) <= 1:

@@ -46,7 +46,7 @@ import socket
 import time
 
 from . import faults
-from .engine import ENGINE_VERSION, GridSpec, run_grid
+from .engine import ENGINE_VERSION, GridSpec, _validate_pipelines, run_grid
 from .executor import EngineConfig, RunStats, as_config
 from .jobcache import connect_wal, with_busy_retry
 from .sinks import JsonlSink, ListSink, MergeError
@@ -207,9 +207,15 @@ class LeaseQueue:
         coverage check expects the caller to supply the skipped rows
         (cache-hit envelopes).  An empty subset enqueues the grid
         with no leases at all: immediately finished.
+
+        A spec :func:`~repro.runner.engine.run_grid` would refuse (an
+        algorithm whose pipeline a scenario cannot build, an unknown
+        name or ``params`` key) raises here, before any lease exists —
+        a queued lease for it could never finish.
         """
         if lease_jobs < 1:
             raise ValueError("lease_jobs must be positive")
+        _validate_pipelines(spec)
         grid_id = spec.cache_key()
         total = len(spec)
         if jobs is None:

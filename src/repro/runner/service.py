@@ -51,7 +51,7 @@ import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from .engine import GridSpec, job_key
+from .engine import GridSpec, _validate_pipelines, job_key
 from .jobcache import JobCache
 from .leasequeue import DEFAULT_LEASE_JOBS, LeaseQueue, grid_status
 
@@ -265,13 +265,17 @@ class GridService:
     # -- endpoints -----------------------------------------------------
 
     def _parse_spec(self, body) -> GridSpec:
-        """The submitted :class:`GridSpec`, or a 400 envelope."""
+        """The submitted :class:`GridSpec`, or a 400 envelope — also
+        for a well-formed spec ``run_grid`` would refuse, so it is
+        never probed or enqueued."""
         if not isinstance(body, dict):
             raise ServiceError(400, "bad_request",
                                "POST /grids expects a GridSpec JSON "
                                "object")
         try:
-            return GridSpec.from_dict(body)
+            spec = GridSpec.from_dict(body)
+            _validate_pipelines(spec)
+            return spec
         except (KeyError, TypeError, ValueError) as exc:
             raise ServiceError(400, "bad_spec",
                                f"not a valid grid spec: {exc}"

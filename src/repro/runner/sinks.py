@@ -51,11 +51,11 @@ SINK_KINDS = ("list", "jsonl", "sqlite")
 class MergeError(ValueError):
     """A worker's result stream is unusably corrupt.
 
-    Raised when tolerant readers / the lease-queue merge find damage
-    they must *not* paper over: JSON corruption in the **middle** of a
-    worker's log (a torn *final* line is the expected SIGKILL artifact
-    and stays tolerated) or two workers claiming the same sequence
-    number with different rows.  Subclasses :class:`ValueError` so
+    Raised when the lease-queue merge finds damage it must *not*
+    paper over: JSON corruption in the **middle** of a worker's log (a
+    torn *final* line is the expected SIGKILL artifact and stays
+    tolerated) or two workers claiming the same sequence number with
+    different rows.  Subclasses :class:`ValueError` so
     existing ``except ValueError`` callers keep working.
     """
 
@@ -240,39 +240,15 @@ def make_sink(kind: str, path=None, append: bool = False) -> ResultSink:
                      f"{SINK_KINDS}")
 
 
-def read_jsonl_rows(path, tolerant: bool = False) -> list[dict]:
+def read_jsonl_rows(path) -> list[dict]:
     """Load the rows a :class:`JsonlSink` wrote, in stream order.
 
-    ``tolerant=True`` tolerates exactly one unparseable **final** line —
-    the torn tail a SIGKILL'd writer can leave behind.  Corruption in
-    the *middle* of the file is never a crash artifact (appends are
-    sequential), so it raises :class:`MergeError` naming the file and
-    line instead of being silently dropped.  Callers that verify
-    completeness separately (the lease-queue ``merge``, which dedupes by
-    sequence number and asserts full grid coverage) use the tolerant
-    mode to read crash-prone per-worker files; everyone else keeps the
-    fail-fast default.
+    Strict: any unparseable line raises :class:`ValueError`.  The
+    lease-queue merge reads crash-prone per-worker logs with its own
+    torn-tail rule (:func:`repro.runner.leasequeue.merge_results`).
     """
-    path = pathlib.Path(path)
-    rows = []
-    torn: int | None = None  # line number of a pending unparseable line
-    with path.open() as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if torn is not None:
-                # the bad line was NOT the final one: real corruption
-                raise MergeError(
-                    f"{path}: corrupt JSON on line {torn} (not a torn "
-                    f"tail — line {lineno} follows it)")
-            try:
-                rows.append(json.loads(line))
-            except ValueError:
-                if not tolerant:
-                    raise
-                torn = lineno
-    return rows
+    with pathlib.Path(path).open() as fh:
+        return [json.loads(line) for line in fh if line.strip()]
 
 
 def read_sqlite_rows(path) -> list[dict]:

@@ -56,7 +56,7 @@ def _isolate_executor_state():
 
     from repro import kernels
     from repro.runner import executor, faults, instancestore
-    env_keys = (kernels.ENV_VAR, kernels.ENV_MEMO, faults.ENV_VAR)
+    env_keys = (kernels.ENV_VAR, faults.ENV_VAR)
     env_before = {key: os.environ.get(key) for key in env_keys}
     pool_before = executor._POOL
     yield

@@ -324,21 +324,6 @@ class TestMigration:
         # auto-detect now prefers the migrated cache.db
         assert JobCache(tmp_path).backend == "sqlite"
 
-    def test_analysis_sweep_accepts_sqlite_cache(self, tmp_path):
-        from repro.analysis import sweep
-        from tests.test_runner import _measure
-        cache = JobCache(tmp_path, backend="sqlite")
-        stats1, stats2 = RunStats(), RunStats()
-        grid = {"T": [2, 3], "m": [4, 5]}
-        rows = sweep(_measure, grid, EngineConfig(cache_dir=cache),
-                     stats=stats1)
-        again = sweep(_measure, grid, EngineConfig(cache_dir=cache),
-                      stats=stats2)
-        assert rows == again
-        assert (stats1.hits, stats1.misses) == (0, 4)
-        assert (stats2.hits, stats2.misses) == (4, 0)
-        assert (tmp_path / DB_NAME).exists()
-
     def test_engine_reads_migrated_cache(self, tmp_path):
         rows = run_grid(SMALL, EngineConfig(
             cache_dir=JobCache(tmp_path, backend="json")))

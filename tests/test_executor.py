@@ -8,17 +8,12 @@ from concurrent.futures import Future
 
 import pytest
 
-from repro.analysis import sweep
-from repro.runner import EngineConfig, GridSpec, RunStats, run_grid
+from repro.runner import EngineConfig, GridSpec, RunStats, run_grid, work
 from repro.runner.executor import (PipelineBatch, chunk_list, iter_batches,
                                    run_pipeline)
 
 SMALL = GridSpec(scenarios=("diurnal",), algorithms=("lcp", "threshold"),
                  seeds=(0, 1), sizes=(16,))
-
-
-def _measure(x):
-    return {"y": x * x}
 
 
 # ----------------------------------------------------------------------
@@ -224,26 +219,22 @@ class TestBatchingHelpers:
 
 
 # ----------------------------------------------------------------------
-# EngineConfig: the one call style of run_grid, sweep and work.
+# EngineConfig: the one call style of run_grid and work.
 # ----------------------------------------------------------------------
 
 class TestEngineConfig:
-    def test_unknown_kwarg_raises_type_error(self):
+    def test_unknown_kwarg_raises_type_error(self, tmp_path):
         with pytest.raises(TypeError, match="bogus"):
-            sweep(_measure, {"x": [1]}, bogus=1)
+            work(tmp_path, bogus=1)
 
     def test_disallowed_kwarg_raises_type_error(self):
         # the pre-EngineConfig keyword style is gone, not deprecated
         with pytest.raises(TypeError, match="n_jobs"):
             run_grid(SMALL, n_jobs=2)
-        with pytest.raises(TypeError, match="chunk_points"):
-            sweep(_measure, {"x": [1]}, chunk_points=2)
 
     def test_non_config_positional_raises(self):
         with pytest.raises(TypeError, match="EngineConfig"):
             run_grid(SMALL, {"n_jobs": 2})
-        with pytest.raises(TypeError, match="EngineConfig"):
-            sweep(_measure, {"x": [1]}, {"n_jobs": 2})
 
     def test_config_is_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -252,10 +243,6 @@ class TestEngineConfig:
     def test_run_grid_unknown_kwarg(self):
         with pytest.raises(TypeError, match="bogus"):
             run_grid(SMALL, bogus=1)
-
-    def test_sweep_rejects_engine_only_kwargs(self):
-        with pytest.raises(TypeError, match="store_dir"):
-            sweep(_measure, {"x": [1]}, store_dir="/tmp")
 
 
 # ----------------------------------------------------------------------

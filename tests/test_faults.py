@@ -376,17 +376,9 @@ class TestMergeErrorReporting:
         with pytest.raises(MergeError, match=r"line 2"):
             merge_results(queue)
 
-    def test_torn_final_line_still_tolerated(self, tmp_path):
-        path = tmp_path / "w.jsonl"
-        path.write_text('{"a": 1}\n{"b": 2}\n{"torn')
-        assert read_jsonl_rows(path, tolerant=True) == [{"a": 1},
-                                                        {"b": 2}]
-
     def test_mid_file_corruption_raises_in_tolerant_mode(self, tmp_path):
         path = tmp_path / "w.jsonl"
         path.write_text('{"a": 1}\n{"torn\n{"b": 2}\n')
-        with pytest.raises(MergeError, match="line 2"):
-            read_jsonl_rows(path, tolerant=True)
         with pytest.raises(ValueError):
             read_jsonl_rows(path)  # strict mode: plain parse error
 

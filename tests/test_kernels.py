@@ -118,7 +118,7 @@ class TestDispatch:
         kernels.clear_sweep_cache()
 
     def test_memo_size_env(self, monkeypatch):
-        monkeypatch.setenv(kernels.ENV_MEMO, "2")
+        monkeypatch.setattr(kernels, "_SWEEP_CACHE_SIZE", 2)
         kernels.clear_sweep_cache()
         tab = np.ones((6, 4))
         with kernels.use("vector"):
@@ -127,12 +127,6 @@ class TestDispatch:
             # the newest entry survives, the oldest was evicted (LRU)
             assert kernels.cached_sweep(("m", 4), tab, 1.0) is sweeps[4]
             assert kernels.cached_sweep(("m", 0), tab, 1.0) is not sweeps[0]
-        monkeypatch.setenv(kernels.ENV_MEMO, "nope")
-        with pytest.raises(ValueError):
-            kernels.cached_sweep(("m", 9), tab, 1.0)
-        monkeypatch.setenv(kernels.ENV_MEMO, "0")
-        with pytest.raises(ValueError):
-            kernels.cached_sweep(("m", 9), tab, 1.0)
         kernels.clear_sweep_cache()
 
     def test_sweep_stats_count_hits_and_misses(self):

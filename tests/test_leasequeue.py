@@ -48,6 +48,31 @@ class TestLeaseQueue:
         with pytest.raises(ValueError, match="lease_jobs"):
             LeaseQueue(tmp_path).enqueue(SMALL, lease_jobs=0)
 
+    def test_enqueue_rejects_spec_run_grid_refuses(self, tmp_path):
+        # a lease for such a spec would fail every worker that claims
+        # it, be reclaimed after its TTL, and never finish
+        queue = LeaseQueue(tmp_path)
+        for spec, exc in [
+                (GridSpec(scenarios=("diurnal",),
+                          algorithms=("dp_hetero",)), ValueError),
+                (GridSpec(scenarios=("diurnal",),
+                          algorithms=("no-such-alg",)), KeyError),
+                (GridSpec(scenarios=("no-such-scenario",),
+                          algorithms=("lcp",)), KeyError)]:
+            with pytest.raises(exc):
+                queue.enqueue(spec)
+        assert queue.grids() == []
+
+    def test_cli_enqueue_rejects_pipeline_mismatch(self, tmp_path):
+        from repro.cli import main
+        with pytest.raises(SystemExit) as exc_info:
+            main(["work", "enqueue", "--queue", str(tmp_path),
+                  "--scenarios", "diurnal", "--algorithms", "dp_hetero",
+                  "-T", "16"])
+        assert exc_info.value.code not in (0, None)
+        assert "pipeline" in str(exc_info.value.code)
+        assert LeaseQueue(tmp_path).grids() == []
+
     def test_spec_roundtrips(self, tmp_path):
         queue = LeaseQueue(tmp_path)
         grid_id = queue.enqueue(SMALL)

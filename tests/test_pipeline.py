@@ -410,121 +410,6 @@ class TestParamAwareAggregation:
         assert "beta" in out and out.count("case-msr") >= 2
 
 
-class TestSweepPipelined:
-    def test_sweep_depth_and_chunks_preserve_rows(self, tmp_path):
-        from repro.analysis import sweep
-        from tests.test_runner import _measure
-        grid = {"T": [2, 3, 4], "m": [4, 5]}
-        reference = sweep(_measure, grid)
-        assert sweep(_measure, grid,
-                     EngineConfig(batch_size=2, pipeline_depth=1)) == reference
-        assert sweep(_measure, grid,
-                     EngineConfig(batch_size=2, pipeline_depth=3)) == reference
-        assert sweep(_measure, grid,
-                     EngineConfig(n_jobs=2, batch_size=4,
-                                  pipeline_depth=3)) == reference
-        assert sweep(_measure, grid,
-                     EngineConfig(n_jobs=2, batch_size=2,
-                                  pipeline_depth=2)) == reference
-        stats = RunStats()
-        sweep(_measure, grid,
-              EngineConfig(cache_dir=tmp_path, batch_size=2, pipeline_depth=2),
-              stats=stats)
-        assert (stats.hits, stats.misses) == (0, 6)
-        stats2 = RunStats()
-        assert sweep(_measure, grid,
-                     EngineConfig(cache_dir=tmp_path, batch_size=2,
-                                  pipeline_depth=2),
-                     stats=stats2) == reference
-        assert (stats2.hits, stats2.misses) == (6, 0)
-        shutdown_pool()
-
-    def test_sweep_invalid_depth_rejected(self):
-        from repro.analysis import sweep
-        from tests.test_runner import _measure
-        with pytest.raises(ValueError, match="pipeline_depth"):
-            sweep(_measure, {"T": [2], "m": [3]},
-                  EngineConfig(pipeline_depth=0))
-
-    def test_killed_sweep_caches_completed_chunks(self, tmp_path):
-        """A killed sweep persists every measurement it computed —
-        chunks are cached at harvest, before the sink sees the rows —
-        so the resume serves them as hits instead of recomputing."""
-        from repro.analysis import sweep
-        from repro.runner.sinks import ListSink
-        from tests.test_runner import _measure
-
-        class Kill(ListSink):
-            def write(self, row):
-                if len(self.rows) >= 2:
-                    raise KeyboardInterrupt("killed mid-sweep")
-                super().write(row)
-
-        grid = {"T": [2, 3, 4], "m": [4, 5]}
-        with pytest.raises(KeyboardInterrupt):
-            sweep(_measure, grid,
-                  EngineConfig(cache_dir=tmp_path, batch_size=2,
-                               pipeline_depth=2, sink=Kill()))
-        stats = RunStats()
-        rows = sweep(_measure, grid,
-                     EngineConfig(cache_dir=tmp_path, batch_size=2,
-                                  pipeline_depth=2),
-                     stats=stats)
-        assert len(rows) == 6
-        # both admitted batches were cached before the kill propagated
-        # (the second one at harvest, even though its flush is what the
-        # sink killed); only the never-admitted batch recomputes
-        assert (stats.hits, stats.misses) == (4, 2)
-
-    def test_killed_sweep_flushes_completed_batches_to_sink(self,
-                                                            tmp_path):
-        """An abort while a later batch computes must not lose fully
-        computed earlier batches from a file sink (the pre-pipeline
-        sweep always wrote batch N before starting N+1)."""
-        from repro.analysis import sweep
-        from repro.runner import read_jsonl_rows
-        from repro.runner.sinks import JsonlSink
-
-        def fn(T, m):
-            if T == 4:
-                raise RuntimeError("boom")
-            return {"area": T * m}
-
-        path = tmp_path / "rows.jsonl"
-        with pytest.raises(RuntimeError, match="boom"):
-            sweep(fn, {"T": [2, 3, 4], "m": [4, 5]},
-                  EngineConfig(batch_size=2, pipeline_depth=2,
-                               sink=JsonlSink(path)))
-        rows = read_jsonl_rows(path)
-        # both complete batches landed, in grid-product order
-        assert [(r["T"], r["m"]) for r in rows] == [(2, 4), (2, 5),
-                                                    (3, 4), (3, 5)]
-
-    def test_killed_sweep_sink_failure_keeps_clean_prefix(self,
-                                                          tmp_path):
-        """When the sink itself refused a row, the abort drain must
-        not keep writing later batches after the torn one."""
-        from repro.analysis import sweep
-        from repro.runner import read_jsonl_rows
-        from repro.runner.sinks import JsonlSink
-        from tests.test_runner import _measure
-
-        class Kill(JsonlSink):
-            def write(self, row):
-                if self.rows_written >= 3:
-                    raise KeyboardInterrupt("killed mid-sweep")
-                super().write(row)
-
-        path = tmp_path / "rows.jsonl"
-        with pytest.raises(KeyboardInterrupt):
-            sweep(_measure, {"T": [2, 3, 4], "m": [4, 5]},
-                  EngineConfig(batch_size=2, pipeline_depth=2,
-                               sink=Kill(path)))
-        rows = read_jsonl_rows(path)
-        assert [(r["T"], r["m"]) for r in rows] == [(2, 4), (2, 5),
-                                                    (3, 4)]
-
-
 class TestSinkWriteMany:
     def test_sqlite_bulk_path_matches_per_row(self, tmp_path):
         from repro.runner import (SqliteSink, read_sqlite_rows)

@@ -230,6 +230,19 @@ class TestEngine:
             GridSpec(scenarios=("diurnal",), algorithms=("lcp",),
                      sizes=(0,))
 
+    def test_lookahead_must_be_nonnegative_integer(self):
+        # each of these used to build, then quarantine every job at run
+        # time (or, for True, key the cache apart from lookahead=1)
+        for bad in (-1, "2", 1.5, True):
+            with pytest.raises(ValueError, match="lookahead"):
+                GridSpec(scenarios=("diurnal",), algorithms=("lcp",),
+                         lookahead=bad)
+        spec = GridSpec(scenarios=("diurnal",), algorithms=("lcp",),
+                        lookahead=np.int64(2))
+        assert type(spec.lookahead) is int and spec.lookahead == 2
+        assert GridSpec.from_dict(json.loads(json.dumps(spec.to_dict()))) \
+            == spec
+
     def test_aggregate_keeps_sizes_apart(self):
         rows = run_grid(GridSpec(scenarios=("sawtooth",),
                                  algorithms=("lcp",), seeds=(0,),
@@ -416,66 +429,6 @@ class TestJobCache:
                           seeds=(0,), sizes=(16,)),
                  EngineConfig(cache_dir=tmp_path), stats=stats)
         assert stats["job_hits"] == 1 and stats["job_misses"] == 1
-
-
-def _measure(T: int, m: int) -> dict:
-    return {"area": T * m}
-
-
-def _measure_np(T: int) -> dict:
-    return {"v": np.float64(T) / 3.0, "pair": (T, 2 * T)}
-
-
-class TestAnalysisSweep:
-    def test_sweep_serial_and_parallel_agree(self):
-        from repro.analysis import sweep
-        grid = {"T": [2, 3], "m": [4, 5, 6]}
-        serial = sweep(_measure, grid)
-        parallel = sweep(_measure, grid, EngineConfig(n_jobs=2))
-        assert serial == parallel
-        assert serial[0] == {"T": 2, "m": 4, "area": 8}
-        assert len(serial) == 6
-
-    def test_sweep_per_point_cache(self, tmp_path):
-        from repro.analysis import sweep
-        grid = {"T": [2, 3], "m": [4, 5]}
-        stats1, stats2, stats3 = RunStats(), RunStats(), RunStats()
-        rows = sweep(_measure, grid, EngineConfig(cache_dir=tmp_path),
-                     stats=stats1)
-        again = sweep(_measure, grid, EngineConfig(cache_dir=tmp_path),
-                      stats=stats2)
-        assert rows == again
-        assert (stats1.hits, stats1.misses) == (0, 4)
-        assert (stats2.hits, stats2.misses) == (4, 0)
-        # extending an axis pays only the new points
-        sweep(_measure, {"T": [2, 3], "m": [4, 5, 6]},
-              EngineConfig(cache_dir=tmp_path), stats=stats3)
-        assert (stats3.hits, stats3.misses) == (4, 2)
-
-    def test_sweep_cache_rejects_ambiguous_functions(self, tmp_path):
-        # lambdas/closures share qualnames (and partials have none), so
-        # caching them would let different functions share records
-        import functools
-        from repro.analysis import sweep
-        with pytest.raises(ValueError, match="module-level"):
-            sweep(lambda T: {"a": T}, {"T": [1]},
-                  EngineConfig(cache_dir=tmp_path))
-        with pytest.raises(ValueError, match="module-level"):
-            sweep(functools.partial(_measure, m=4), {"T": [1]},
-                  EngineConfig(cache_dir=tmp_path))
-        assert sweep(lambda T: {"a": T}, {"T": [1]}) == [{"T": 1, "a": 1}]
-
-    def test_sweep_cache_hit_and_miss_rows_identical(self, tmp_path):
-        # miss rows are canonicalized through the JSON form, so a rerun
-        # served from cache returns bit-identical rows
-        from repro.analysis import sweep
-        first = sweep(_measure_np, {"T": [2, 3]},
-                      EngineConfig(cache_dir=tmp_path))
-        again = sweep(_measure_np, {"T": [2, 3]},
-                      EngineConfig(cache_dir=tmp_path))
-        assert first == again
-        assert isinstance(first[0]["v"], float)
-        assert first[0]["pair"] == [2, 4]
 
 
 class TestCLI:

@@ -71,19 +71,29 @@ class TestRouting:
         assert queue.counts(SMALL.cache_key()) == before
 
     def test_client_errors_are_envelopes_never_500(self, tmp_path):
-        service = GridService(tmp_path / "q")
+        service = GridService(tmp_path / "q", cache_dir=tmp_path / "c")
+        # well-formed specs run_grid would refuse: each must be answered
+        # before the cache probe and never reach the lease queue
+        refused = [{**SMALL.to_dict(), **patch} for patch in (
+            {"algorithms": ["dp_hetero"]},      # pipeline mismatch
+            {"algorithms": ["no-such-alg"]},
+            {"scenarios": ["no-such-scenario"]},
+            {"lookahead": -1}, {"lookahead": "2"},
+            {"lookahead": 1.5}, {"lookahead": True})]
         for method, path, body, code in [
                 ("POST", "/grids", [1, 2], "bad_request"),
                 ("POST", "/grids", {"nope": 1}, "bad_spec"),
+                *(("POST", "/grids", spec, "bad_spec") for spec in refused),
                 ("GET", "/grids/unknown-digest", None, "unknown_grid"),
                 ("GET", "/grids/", None, "bad_request"),
                 ("DELETE", "/grids", None, "not_found")]:
             with pytest.raises(ServiceError) as exc_info:
                 service.handle(method, path, body)
-            assert exc_info.value.code == code
+            assert exc_info.value.code == code, body
             assert 400 <= exc_info.value.status < 500
             envelope = exc_info.value.envelope()
             assert envelope["error"]["code"] == code
+        assert LeaseQueue(tmp_path / "q").grids() == []
 
     def test_healthz_and_readyz(self, tmp_path):
         service = GridService(tmp_path / "q", cache_dir=tmp_path / "c")

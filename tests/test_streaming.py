@@ -338,30 +338,6 @@ class TestSinkCLI:
         assert len(read_sqlite_rows(db)) == 9
 
 
-class TestSweepStreaming:
-    def test_sweep_sink_and_batches(self, tmp_path):
-        from repro.analysis import sweep
-        from tests.test_runner import _measure
-        grid = {"T": [2, 3], "m": [4, 5, 6]}
-        rows = sweep(_measure, grid)
-        path = sweep(_measure, grid,
-                     EngineConfig(sink=JsonlSink(tmp_path / "s.jsonl"),
-                                  batch_size=2))
-        assert read_jsonl_rows(path) == rows
-
-    def test_sweep_batched_cache_counts(self, tmp_path):
-        from repro.analysis import sweep
-        from tests.test_runner import _measure
-        grid = {"T": [2, 3], "m": [4, 5]}
-        stats1, stats2 = RunStats(), RunStats()
-        sweep(_measure, grid, EngineConfig(cache_dir=tmp_path, batch_size=3),
-              stats=stats1)
-        sweep(_measure, grid, EngineConfig(cache_dir=tmp_path, batch_size=1),
-              stats=stats2)
-        assert (stats1.hits, stats1.misses) == (0, 4)
-        assert (stats2.hits, stats2.misses) == (4, 0)
-
-
 def test_jsonify_round_trip_through_sinks(tmp_path):
     """Numpy payloads written by a sink read back as plain JSON types."""
     sink = JsonlSink(tmp_path / "x.jsonl")
