@@ -7,10 +7,12 @@ projection — exist in two interchangeable implementations:
 * :mod:`repro.kernels.scalar` — the original per-step loop over
   :class:`~repro.online.workfunction.WorkFunctions`, kept as the
   executable reference semantics;
-* :mod:`repro.kernels.vectorized` — a fused whole-table sweep that
-  writes the full ``(T, m+1)`` work-function table with a handful of
-  in-place ufunc calls per step and extracts every per-step bound pair
-  with two table-wide ``argmin`` passes.
+* :mod:`repro.kernels.vectorized` — one compiled pass that keeps three
+  ``(m+1)`` rows of the recurrence and reads each row's bounds as it
+  goes; without a C compiler, a NumPy loop that writes the full
+  ``(T, m+1)`` work-function table with six in-place ufunc calls per
+  step and extracts every per-step bound pair with two table-wide
+  ``argmin`` passes.
 
 Both produce **bit-identical** results (no floating-point operation is
 reordered; see ``docs/KERNELS.md`` for the derivation and the
@@ -23,11 +25,11 @@ agree.  The scalar setting also disables the whole-trajectory fast
 paths of the online replay layer (:mod:`repro.online.base`),
 restoring the pre-kernel per-step code paths end to end.
 
-The sequential loops that no whole-table pass can express (the
-Section 2.2 window DP, the threshold and memoryless walks) are compiled
-from ``_seqloops.c`` by :mod:`repro.kernels.native`, whose
-``loops()`` returns ``None`` under the scalar kernel or without a C
-compiler (``docs/KERNELS.md`` §7).
+The sequential loops (the vectorized sweep, the Section 2.2 window DP,
+the threshold and memoryless walks) are compiled from ``_seqloops.c``
+by :mod:`repro.kernels.native`, whose ``loops()`` returns ``None``
+under the scalar kernel or without a C compiler, and callers then run
+their reference loops (``docs/KERNELS.md`` §7).
 
 A small per-process memo (:func:`cached_sweep`, 16 entries) lets the
 engine's phase-1 optimum computation and every phase-2 LCP-family job

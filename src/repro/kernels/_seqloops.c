@@ -1,11 +1,12 @@
 /*
  * Compiled sequential loops of the reproduction (docs/KERNELS.md §7).
  *
- * Three per-step recurrences that cannot be vectorized across time:
+ * Four per-step recurrences that cannot be vectorized across time:
  *
- *   window_dp        the Section 2.2 window DP (forward pass + backtrack)
- *   threshold_walk   the threshold rule's clamped accumulation
- *   memoryless_walk  the memoryless baseline's balance walk
+ *   workfunction_sweep  the Section 3 hat-C^L sweep and its LCP bounds
+ *   window_dp           the Section 2.2 window DP (forward pass + backtrack)
+ *   threshold_walk      the threshold rule's clamped accumulation
+ *   memoryless_walk     the memoryless baseline's balance walk
  *
  * Each loop performs, per element, exactly the IEEE-754 double operations
  * of its NumPy/Python reference, in the same order: no operation is
@@ -17,6 +18,15 @@
 
 #include <math.h>
 #include <stdint.h>
+#include <string.h>
+
+/* numpy.minimum(a, b): a when a < b or a is NaN, else b -- so b on ties
+ * (minimum(+0.0, -0.0) is -0.0) and on a NaN b. */
+static inline double
+minimum(double a, double b)
+{
+    return (a < b || a != a) ? a : b;
+}
 
 /* Switching cost beta * (b - a)^+ as numpy.maximum(b - a, 0.0) * beta
  * computes it for finite a, b. */
@@ -45,6 +55,76 @@ argmin_first(const double *v, int64_t n)
         }
     }
     return k;
+}
+
+/* numpy.argmin over the reversed row v - bs, reflected to an index of v:
+ * the last minimum of v[0..m] - bs[0..m], or the last NaN if any. */
+static int64_t
+argmin_last_shifted(const double *v, const double *bs, int64_t m)
+{
+    double best = v[m] - bs[m];
+    int64_t k = m;
+    if (best != best)
+        return m;
+    for (int64_t i = m - 1; i >= 0; i--) {
+        double x = v[i] - bs[i];
+        if (x < best) {
+            best = x;
+            k = i;
+        } else if (x != x) {
+            return i;
+        }
+    }
+    return k;
+}
+
+/*
+ * hat-C^L work-function sweep over the cost table F (T x (m+1)), with
+ * bs[x] = beta * x.  Mirrors the NumPy loop of
+ * repro.kernels.vectorized.sweep_workfunction, row by row:
+ *
+ *   D_0[x] = F[0, x] + bs[x]
+ *   up[x]  = prefix_min(D_{t-1} - bs)[x] + bs[x]
+ *   dn[x]  = suffix_min(D_{t-1})[x]
+ *   D_t[x] = minimum(up[x], dn[x]) + F[t, x]
+ *
+ * and each row's bounds: lo[t] = argmin(D_t) (first minimum) and
+ * hi[t] = the last minimum of D_t - bs (Lemma 7).  Only three rows of
+ * rows (3 x (m+1) scratch) are live, never the (T, m+1) table; the last
+ * row D_{T-1} is left in rows[0..m].
+ */
+void
+workfunction_sweep(int64_t T, int64_t m, const double *F, const double *bs,
+                   double *rows, int64_t *lo, int64_t *hi)
+{
+    int64_t n = m + 1;
+    double *prev = rows, *cur = rows + n, *up = rows + 2 * n;
+    for (int64_t x = 0; x < n; x++)
+        prev[x] = F[x] + bs[x];
+    lo[0] = argmin_first(prev, n);
+    hi[0] = argmin_last_shifted(prev, bs, m);
+    for (int64_t t = 1; t < T; t++) {
+        const double *f = F + t * n;
+        double run = prev[0] - bs[0];
+        up[0] = run + bs[0];
+        for (int64_t x = 1; x < n; x++) {
+            run = minimum(run, prev[x] - bs[x]);
+            up[x] = run + bs[x];
+        }
+        double dn = prev[m];
+        cur[m] = minimum(up[m], dn) + f[m];
+        for (int64_t x = m - 1; x >= 0; x--) {
+            dn = minimum(dn, prev[x]);
+            cur[x] = minimum(up[x], dn) + f[x];
+        }
+        lo[t] = argmin_first(cur, n);
+        hi[t] = argmin_last_shifted(cur, bs, m);
+        double *tmp = prev;
+        prev = cur;
+        cur = tmp;
+    }
+    if (prev != rows)
+        memcpy(rows, prev, (size_t)n * sizeof(double));
 }
 
 /*

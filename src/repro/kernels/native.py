@@ -1,11 +1,11 @@
 """Loader of the compiled sequential loops (``_seqloops.c``).
 
-The paper's offline window DP (Section 2.2) and the threshold and
-memoryless walks are per-step recurrences: NumPy can only run them as
-a few small array calls per step.  ``_seqloops.c`` runs each whole loop
-in C with the same floating-point operations in the same order, so the
-rows are bit-identical to the NumPy/Python reference
-(``docs/KERNELS.md`` §7).
+The ``hat-C^L`` work-function sweep (Section 3), the paper's offline
+window DP (Section 2.2) and the threshold and memoryless walks are
+per-step recurrences: NumPy can only run them as a few small array calls
+per step.  ``_seqloops.c`` runs each whole loop in C with the same
+floating-point operations in the same order, so the rows are
+bit-identical to the NumPy/Python reference (``docs/KERNELS.md`` §7).
 
 :func:`loops` is the one check that selects the path: it returns the
 loaded library, or ``None`` — under ``REPRO_KERNEL=scalar``, without a
@@ -47,6 +47,8 @@ _F64P = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
 _I64P = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
 
 _SIGNATURES = {
+    "workfunction_sweep": (None, [_I64, _I64, _F64P, _F64P, _F64P, _I64P,
+                                  _I64P]),
     "window_dp": (_F64, [_I64, _I64, _I64P, _F64P, _F64, _I64P, _F64P,
                          _I64P]),
     "threshold_walk": (None, [_I64, _I64, _F64P, _F64P]),
@@ -126,7 +128,11 @@ def _load():
     except OSError:
         return None
     for name, (restype, argtypes) in _SIGNATURES.items():
-        fn = getattr(lib, name)
+        # a cached library that lacks a symbol (a stale or foreign file
+        # at the key path) is unusable, like one that fails to load
+        fn = getattr(lib, name, None)
+        if fn is None:
+            return None
         fn.restype = restype
         fn.argtypes = argtypes
     return lib

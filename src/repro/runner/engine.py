@@ -136,6 +136,22 @@ def _canonical_params(entry) -> str:
     return json.dumps(entry, sort_keys=True)
 
 
+def _integer(value, message: str, low: int) -> int:
+    """``value`` as an ``int``, or ``ValueError(message)`` unless it is
+    an integer ``>= low``.
+
+    ``bool`` is refused although it is an ``int`` subclass (``True``
+    would key the job cache apart from ``1``), and so are floats and
+    strings, which ``int()`` would silently truncate or parse.  NumPy
+    integers become ``int``, so the spec's JSON form and its job keys
+    do not depend on the caller's integer type.
+    """
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < low):
+        raise ValueError(f"{message}, got {value!r}")
+    return int(value)
+
+
 @dataclasses.dataclass(frozen=True)
 class GridSpec:
     """A grid of experiment jobs.
@@ -165,29 +181,27 @@ class GridSpec:
 
     def __post_init__(self):
         """Canonicalize the axes, validate that none is empty and that
-        ``lookahead`` is a non-negative integer."""
+        every seed, size, ``instance_seed`` and ``lookahead`` is an
+        integer in range."""
         object.__setattr__(self, "scenarios", tuple(self.scenarios))
         object.__setattr__(self, "algorithms", tuple(self.algorithms))
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
-        object.__setattr__(self, "sizes", tuple(int(t) for t in self.sizes))
+        object.__setattr__(self, "seeds", tuple(
+            _integer(s, "seeds must be non-negative integers", 0)
+            for s in self.seeds))
+        object.__setattr__(self, "sizes", tuple(
+            _integer(t, "sizes must be positive horizons", 1)
+            for t in self.sizes))
         object.__setattr__(self, "params",
                            tuple(_canonical_params(p) for p in self.params))
         if not (self.scenarios and self.algorithms and self.seeds
                 and self.sizes and self.params):
             raise ValueError("grid axes must all be non-empty")
-        if any(s < 0 for s in self.seeds) or (
-                self.instance_seed is not None and self.instance_seed < 0):
-            raise ValueError("seeds must be non-negative")
-        if any(t < 1 for t in self.sizes):
-            raise ValueError("sizes must be positive horizons")
-        # bool is an int subclass, but True would key the cache apart
-        # from 1; strings and floats would fail every job at run time
-        if (isinstance(self.lookahead, bool)
-                or not isinstance(self.lookahead, numbers.Integral)
-                or self.lookahead < 0):
-            raise ValueError(f"lookahead must be a non-negative integer, "
-                             f"got {self.lookahead!r}")
-        object.__setattr__(self, "lookahead", int(self.lookahead))
+        if self.instance_seed is not None:
+            object.__setattr__(self, "instance_seed", _integer(
+                self.instance_seed,
+                "instance_seed must be a non-negative integer", 0))
+        object.__setattr__(self, "lookahead", _integer(
+            self.lookahead, "lookahead must be a non-negative integer", 0))
 
     def to_dict(self) -> dict:
         """JSON-canonical form (lists, not tuples)."""

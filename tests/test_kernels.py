@@ -7,6 +7,10 @@ for every sweep-sharing algorithm, the backward solver, and whole
 engine grids across pipelines.
 """
 
+import hashlib
+import shutil
+import subprocess
+
 import numpy as np
 import pytest
 
@@ -411,6 +415,124 @@ class TestEngineGrids:
         assert calls == 1  # one instance -> one sweep, shared by all
 
 
+def _sweep_bytes(sweep):
+    return (sweep.lo.tobytes(), sweep.hi.tobytes(),
+            np.float64(sweep.opt).tobytes())
+
+
+class TestCompiledSweep:
+    """The compiled ``workfunction_sweep`` returns the NumPy loop's and
+    the scalar reference's bytes, and never holds the ``(T, m+1)``
+    table."""
+
+    @pytest.fixture(autouse=True)
+    def _compiled(self):
+        if native.loops() is None:
+            pytest.skip("compiled loops unavailable (no cc)")
+
+    @staticmethod
+    def _three_paths(monkeypatch, F, beta):
+        """(compiled, NumPy, scalar) sweeps of one table, as bytes."""
+        compiled = _sweep_bytes(vector_kernel.sweep_workfunction(F, beta))
+        with monkeypatch.context() as patch:
+            patch.setattr(native, "loops", lambda: None)
+            with np.errstate(invalid="ignore"):
+                numpy = _sweep_bytes(vector_kernel.sweep_workfunction(F, beta))
+        with np.errstate(invalid="ignore"):
+            ref = _sweep_bytes(scalar_kernel.sweep_workfunction(F, beta))
+        return compiled, numpy, ref
+
+    def _assert_identical(self, monkeypatch, F, beta, what):
+        compiled, numpy, ref = self._three_paths(monkeypatch, F, beta)
+        assert compiled == numpy, what
+        assert compiled == ref, what
+
+    def test_signed_zero_ties_take_numpy_minimum_rule(self, monkeypatch):
+        """Under beta = +0.0 or beta > 0 no -0.0 reaches a work-function
+        row, so only beta = -0.0 (which the scalar reference refuses)
+        makes ``minimum(+0.0, -0.0)`` ties observable: the compiled
+        pass must pick the operand NumPy picks."""
+        rng = np.random.default_rng(25)
+        for trial in range(50):
+            F = rng.choice([0.0, -0.0, 1.0], size=(int(rng.integers(1, 12)),
+                                                   int(rng.integers(1, 9))))
+            compiled = _sweep_bytes(vector_kernel.sweep_workfunction(F, -0.0))
+            with monkeypatch.context() as patch:
+                patch.setattr(native, "loops", lambda: None)
+                numpy = _sweep_bytes(vector_kernel.sweep_workfunction(F, -0.0))
+            assert compiled == numpy, trial
+
+    def test_random_tables_with_ties_zeros_infs_and_nans(self, monkeypatch):
+        rng = np.random.default_rng(23)
+        for trial in range(300):
+            T = int(rng.integers(1, 30))
+            m = int(rng.integers(0, 40))
+            # small integers make exact ties common; the sign flips put
+            # +0.0 and -0.0 side by side
+            F = rng.integers(0, 4, size=(T, m + 1)) * float(
+                rng.choice([0.1, 0.5, 1.0]))
+            F[rng.random(F.shape) < 0.3] *= -1.0
+            F[rng.random(F.shape) < 0.05] = np.inf
+            if trial % 3 == 0:
+                F[rng.random(F.shape) < 0.02] = np.nan
+            beta = float(rng.choice([0.5, 1.0, 2.0, 3.7]))
+            self._assert_identical(monkeypatch, F, beta, trial)
+
+    def test_edge_shapes(self, monkeypatch):
+        rng = np.random.default_rng(24)
+        for T, m in [(1, 0), (1, 5), (7, 0), (1, 128)] + [
+                (9, m) for m in (126, 127, 128, 129)]:
+            F = rng.uniform(0.0, 10.0, size=(T, m + 1))
+            self._assert_identical(monkeypatch, F, 1.3, (T, m))
+        F = rng.uniform(0.0, 10.0, size=(8, 6))
+        F[3] = np.inf  # an all-+inf row, and every row after it
+        self._assert_identical(monkeypatch, F, 2.0, "all-inf row")
+        self._assert_identical(monkeypatch, np.zeros((12, 6)), 1.5, "flat")
+
+    def test_real_instances(self, monkeypatch):
+        for scenario in ("diurnal", "hotmail-like"):
+            inst = build_instance(scenario, 10_000, 0)
+            self._assert_identical(monkeypatch, np.asarray(inst.F),
+                                   float(inst.beta), scenario)
+
+    def test_restricted_opt_is_solver_cost_bitwise(self):
+        from repro.offline import solve_restricted
+        from repro.offline.restricted import restricted_cost_matrix
+        instances = list(TestRestrictedKernels()._instances())
+        instances.append(build_instance("restricted-diurnal", 200, 3,
+                                        pipeline="restricted"))
+        kernels.clear_sweep_cache()
+        with kernels.use("vector"):
+            for k, ri in enumerate(instances):
+                opt = kernels.cached_sweep(("restricted", k),
+                                           restricted_cost_matrix(ri),
+                                           ri.beta).opt
+                cost = solve_restricted(ri).cost
+                assert np.float64(opt).tobytes() == \
+                    np.float64(cost).tobytes(), k
+        kernels.clear_sweep_cache()
+
+    def test_working_memory_is_a_few_rows(self, monkeypatch):
+        import tracemalloc
+        inst = build_instance("diurnal", 20_000, 0)
+        F = np.ascontiguousarray(inst.F, dtype=np.float64)
+        T, m = F.shape[0], F.shape[1] - 1
+        table = T * (m + 1) * 8
+
+        def peak():
+            tracemalloc.start()
+            try:
+                vector_kernel.sweep_workfunction(F, float(inst.beta))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak() < table / 4
+        # the NumPy loop's table is visible to the same probe
+        monkeypatch.setattr(native, "loops", lambda: None)
+        assert peak() > table
+
+
 class TestNativeLoader:
     """The one check, :func:`repro.kernels.native.loops`: the compiled
     loops or ``None``, never an exception, and the same rows either
@@ -453,6 +575,24 @@ class TestNativeLoader:
             assert native.loops() is None
         cache = fresh_loader / "cache" / "repro"
         assert list(cache.iterdir()) == []
+
+    def test_library_missing_a_symbol_is_refused(self, fresh_loader):
+        """A stale or foreign library at the key path loads, but lacks
+        the loops: ``loops()`` says ``None`` instead of raising."""
+        cc = shutil.which("cc")
+        if cc is None:
+            pytest.skip("no cc to build the stand-in library")
+        empty = fresh_loader / "empty.c"
+        empty.write_text("int unrelated_symbol;\n")
+        cache = fresh_loader / "cache" / "repro"
+        cache.mkdir(parents=True, mode=0o700)
+        key = hashlib.sha256(native.SOURCE.read_bytes()
+                             + " ".join(native.FLAGS).encode()).hexdigest()
+        subprocess.run([cc, *native.FLAGS, "-o",
+                        str(cache / f"seqloops-{key}.so"), str(empty)],
+                       check=True)
+        with kernels.use("vector"):
+            assert native.loops() is None
 
     def test_shared_cache_directory_is_refused(self, fresh_loader):
         cache = fresh_loader / "cache" / "repro"

@@ -73,6 +73,16 @@ class TestLeaseQueue:
         assert "pipeline" in str(exc_info.value.code)
         assert LeaseQueue(tmp_path).grids() == []
 
+    def test_cli_enqueue_rejects_non_integer_seeds_and_sizes(self, tmp_path):
+        from repro.cli import main
+        for flag, value in (("--seeds", "2.9"), ("-T", "16.7")):
+            with pytest.raises(SystemExit) as exc_info:
+                main(["work", "enqueue", "--queue", str(tmp_path),
+                      "--scenarios", "diurnal", "--algorithms", "lcp",
+                      "-T", "16", flag, value])
+            assert exc_info.value.code not in (0, None)
+        assert LeaseQueue(tmp_path).grids() == []
+
     def test_spec_roundtrips(self, tmp_path):
         queue = LeaseQueue(tmp_path)
         grid_id = queue.enqueue(SMALL)

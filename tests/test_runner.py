@@ -243,6 +243,27 @@ class TestEngine:
         assert GridSpec.from_dict(json.loads(json.dumps(spec.to_dict()))) \
             == spec
 
+    def test_seeds_sizes_and_instance_seed_must_be_integers(self):
+        # int() used to truncate 2.9 and 16.7, and True / 1.5 were kept
+        # as given (True keyed the job cache apart from 1)
+        base = {"scenarios": ("diurnal",), "algorithms": ("lcp",)}
+        for field, bad in [("seeds", (2.9,)), ("seeds", (True,)),
+                           ("seeds", ("1",)), ("sizes", (16.7,)),
+                           ("sizes", (True,)), ("sizes", ("16",)),
+                           ("instance_seed", True),
+                           ("instance_seed", 1.5),
+                           ("instance_seed", -1)]:
+            with pytest.raises(ValueError, match=field.split("_")[-1]):
+                GridSpec(**base, **{field: bad})
+        spec = GridSpec(**base, seeds=(np.int64(3),), sizes=(np.int32(16),),
+                        instance_seed=np.int64(1))
+        assert (type(spec.seeds[0]), type(spec.sizes[0]),
+                type(spec.instance_seed)) == (int, int, int)
+        plain = GridSpec(**base, seeds=(3,), sizes=(16,), instance_seed=1)
+        assert spec == plain and spec.cache_key() == plain.cache_key()
+        assert [job_key(j) for j in spec.iter_jobs()] == \
+            [job_key(j) for j in plain.iter_jobs()]
+
     def test_aggregate_keeps_sizes_apart(self):
         rows = run_grid(GridSpec(scenarios=("sawtooth",),
                                  algorithms=("lcp",), seeds=(0,),

@@ -79,7 +79,9 @@ class TestRouting:
             {"algorithms": ["no-such-alg"]},
             {"scenarios": ["no-such-scenario"]},
             {"lookahead": -1}, {"lookahead": "2"},
-            {"lookahead": 1.5}, {"lookahead": True})]
+            {"lookahead": 1.5}, {"lookahead": True},
+            {"seeds": [2.9]}, {"sizes": [16.7]},
+            {"instance_seed": True}, {"instance_seed": 1.5})]
         for method, path, body, code in [
                 ("POST", "/grids", [1, 2], "bad_request"),
                 ("POST", "/grids", {"nope": 1}, "bad_spec"),
